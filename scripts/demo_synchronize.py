@@ -22,8 +22,7 @@ from monosync.formats import parse_system
 from monosync.poset import default_root, root_tree
 from monosync.svg import svg_bands, svg_permutation
 from monosync.synchronize import (
-    cell_states,
-    common_grid,
+    composed_tables,
     identity_synchronization,
     synchronization_violations,
     synchronize_from_coupling,
@@ -34,16 +33,13 @@ DEFAULT_SYSTEM = Path(__file__).resolve().parent.parent / "data" / "w6.system"
 
 
 def print_tables(system, extension, phis, violations=()):
-    L = common_grid(*(system.measure_of(a)
-                      for a in system.index_poset.elements))
+    L, tables = composed_tables(system, phis, extension)
     bad_cells = {v.cell for v in violations}
     width = max(len(s) for s in system.state_poset.elements)
     header = "  ".join(f"{i:>{width}}" for i in range(L))
     print(f"      cell  {header}")
     for alpha in system.index_poset.elements:
-        raw = cell_states(system.measure_of(alpha), extension, L)
-        row = [raw[phis[alpha].apply_cell(i)] for i in range(L)]
-        cells = "  ".join(f"{s:>{width}}" for s in row)
+        cells = "  ".join(f"{s:>{width}}" for s in tables[alpha])
         print(f"  X_{alpha}(u) = {cells}")
     if bad_cells:
         marks = "  ".join(("!" if i in bad_cells else " ").rjust(width)

@@ -30,17 +30,7 @@ from .coupling import (
     verify_certificate,
 )
 from .errors import MonosyncError
-from .measure import (
-    DistFn,
-    RationalMeasure,
-    StepFunction,
-    classical_inverse,
-    dist_fn,
-    dist_fn_linext,
-    inverse_transform,
-    rational_measure,
-    step_function,
-)
+from .measure import RationalMeasure, rational_measure
 from .poset import (
     CoverGraph,
     LinearExtension,
@@ -64,7 +54,9 @@ from .synchronize import (
     SpanningTreeWitness,
     Violation,
     cell_states,
+    check_cell_tables,
     common_grid,
+    composed_tables,
     identity_synchronization,
     interlacing_graphs,
     is_synchronizable,

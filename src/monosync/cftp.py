@@ -12,7 +12,6 @@ stationary law, which a rational linear solve cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
@@ -27,11 +26,29 @@ from .coupling import (
     measure_system,
     realize,
 )
-from .errors import BudgetExceeded, GridMismatch, NotErgodic, NotStochMonotone
+from .errors import (
+    BudgetExceeded,
+    ContractViolation,
+    GridMismatch,
+    NotErgodic,
+    NotStochMonotone,
+)
 from .measure import F0, F1, RationalMeasure, rational_measure
-from .poset import Poset, PosetClass, classify, default_root, root_tree
+from .poset import (
+    LinearExtension,
+    Poset,
+    PosetClass,
+    classify,
+    default_root,
+    root_tree,
+)
 from .rng import CellSampler
-from .synchronize import cell_states, common_grid, synchronize_from_coupling
+from .synchronize import (
+    check_cell_tables,
+    composed_tables,
+    identity_synchronization,
+    synchronize_from_coupling,
+)
 
 DEFAULT_MAX_EPOCH = 2**30
 
@@ -49,9 +66,6 @@ class Kernel:
     def to_system(self) -> MeasureSystem:
         """The rows as a measure system indexed by the state poset itself."""
         return measure_system(self.state_poset, self.state_poset, self.rows)
-
-    def denominators(self) -> tuple[int, ...]:
-        return self.to_system().denominators()
 
 
 def kernel(state_poset: Poset, rows: Mapping[str, RationalMeasure]) -> Kernel:
@@ -80,29 +94,11 @@ class GrandCoupling:
                 raise GridMismatch(
                     f"row at {x!r} has {len(row)} cells, expected {self.L}")
 
-    def step(self, x: str, cell: int) -> str:
-        return self.update[x][cell]
-
 
 def check_grand_coupling(kern: Kernel, gc: GrandCoupling) -> Verdict:
-    """Independent re-check of both table invariants.
-
-    Cell counts against the kernel rows, then pointwise order on every
-    cell for every comparable state pair; the witness names the first
-    failure.
-    """
-    for x in kern.state_poset.elements:
-        counts: dict[str, int] = {}
-        for s in gc.update[x]:
-            counts[s] = counts.get(s, 0) + 1
-        for s in kern.state_poset.elements:
-            if counts.get(s, 0) != kern.rows[x].of(s) * gc.L:
-                return Verdict(False, ("counts", x, s))
-    for x, y in kern.state_poset.strict_pairs():
-        for i in range(gc.L):
-            if not kern.state_poset.leq(gc.update[x][i], gc.update[y][i]):
-                return Verdict(False, ("order", x, y, i))
-    return Verdict(True)
+    """Independent re-check of both table invariants: the kernel rows,
+    read as a measure system, against :func:`check_cell_tables`."""
+    return check_cell_tables(kern.to_system(), gc.L, gc.update)
 
 
 def build_grand_coupling(kern: Kernel,
@@ -110,12 +106,13 @@ def build_grand_coupling(kern: Kernel,
                          ) -> GrandCoupling | InfeasibilityCertificate:
     """Construct a monotone update table for a stochastically monotone kernel.
 
-    Route by state-poset shape: path cover graphs take the raw inverse
-    transforms; tree cover graphs with extremal branching go through the
-    realization oracle plus cell synchronization; everything else falls
-    back to expanding an oracle coupling directly into cells.  The oracle
-    routes surface an exact infeasibility certificate when no monotone
-    table exists.
+    One route for every state poset: fix a linear extension (the rooted
+    one when the cover graph is a tree, else the poset's own linear
+    order), synchronize the rows (the identity on a path cover graph,
+    else cells of a coupling from the realization oracle), and read the
+    table off the composed transforms.  The oracle returns an exact
+    infeasibility certificate when no monotone table exists.  The table
+    is re-checked before it is returned.
     """
     system = kern.to_system()
     verdict = is_stoch_monotone(system)
@@ -127,47 +124,25 @@ def build_grand_coupling(kern: Kernel,
 
     poset = kern.state_poset
     shape = classify(poset)
+    if shape is PosetClass.NON_ACYCLIC_OR_DISCONNECTED:
+        extension = LinearExtension(poset.linear_order())
+    else:
+        _, extension = root_tree(poset, default_root(poset))
     if shape is PosetClass.Z:
-        L = common_grid(system)
-        _, extension = root_tree(poset, default_root(poset))
-        update = {
-            x: cell_states(kern.rows[x], extension, L)
-            for x in poset.elements
-        }
-    elif shape is PosetClass.W:
-        result = realize(system, cap)
-        if isinstance(result, InfeasibilityCertificate):
-            return result
-        _, extension = root_tree(poset, default_root(poset))
-        phis = synchronize_from_coupling(system, result, extension)
-        L = next(iter(phis.values())).L
-        update = {}
-        for x in poset.elements:
-            raw = cell_states(kern.rows[x], extension, L)
-            update[x] = tuple(raw[phis[x].apply_cell(i)] for i in range(L))
+        phis = identity_synchronization(system)
     else:
         result = realize(system, cap)
         if isinstance(result, InfeasibilityCertificate):
             return result
-        L = common_grid(system, result)
-        rank = {s: i for i, s in enumerate(poset.elements)}
-        update_lists = {x: [] for x in poset.elements}
-        atoms = sorted(result.atoms.items(),
-                       key=lambda kv: tuple(rank[s] for s in kv[0]))
-        for tup, w in atoms:
-            n = int(w * L)
-            for i, x in enumerate(poset.elements):
-                update_lists[x].extend([tup[i]] * n)
-        update = {x: tuple(cells) for x, cells in update_lists.items()}
+        phis = synchronize_from_coupling(system, result, extension)
 
+    L, update = composed_tables(system, phis, extension)
     gc = GrandCoupling(L, poset, update)
     checked = check_grand_coupling(kern, gc)
-    assert checked, checked.witness
+    if not checked:
+        raise ContractViolation("update table breaks its contract",
+                                checked.witness)
     return gc
-
-
-def _support(update: Mapping[str, tuple[str, ...]]) -> dict[str, frozenset[str]]:
-    return {x: frozenset(row) for x, row in update.items()}
 
 
 def _reachable(support: Mapping[str, frozenset[str]], start: str,
@@ -227,7 +202,7 @@ def is_ergodic(kern: Kernel) -> Verdict:
 
 
 def _require_ergodic_table(gc: GrandCoupling) -> None:
-    support = _support(gc.update)
+    support = {x: frozenset(row) for x, row in gc.update.items()}
     elements = gc.state_poset.elements
     if not _is_irreducible(support, elements):
         raise NotErgodic("update table is reducible")
@@ -266,7 +241,8 @@ def cftp_sample(gc: GrandCoupling, seed: int, stream: int = 0,
         covered = T
         full = set(comp.values())
         ext = {comp[x] for x in extremals}
-        assert (len(full) == 1) == (len(ext) == 1), "trackers disagree"
+        if (len(full) == 1) != (len(ext) == 1):
+            raise ContractViolation("trackers disagree", T)
         if len(full) == 1:
             return next(iter(full))
         if T >= max_epoch:

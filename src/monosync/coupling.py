@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import DomainMismatch, SizeLimit
+from .errors import ContractViolation, DomainMismatch, SizeLimit
 from .linprog import FarkasVector, solve_feasibility
-from .measure import F0, F1, RationalMeasure, rational_measure
+from .measure import F0, F1, RationalMeasure
 from .poset import DEFAULT_UPSET_CAP, Poset, chain, up_sets
 
 DEFAULT_TUPLE_CAP = 10**6
@@ -313,25 +313,34 @@ def verify_certificate(system: MeasureSystem,
 
 
 def check_coupling(system: MeasureSystem, coupling: Coupling) -> None:
-    """Assert exact marginals, weight normalization, and tuple monotonicity.
+    """Check exact marginals, weight normalization, and tuple monotonicity.
 
-    Raises ``AssertionError`` on any violation; used by tests and by the
-    constructors that consume couplings.
+    Raises :class:`ContractViolation` on the first violation; its witness
+    is ``("index_order", order)``, ``("total", total)``, ``("weight",
+    tuple)``, ``("order", tuple, a, b)`` or ``("marginal", alpha, state)``.
     """
-    assert coupling.index_order == system.index_poset.elements
-    assert coupling.total() == 1
+    def fail(*witness):
+        raise ContractViolation(f"coupling fails its check: {witness}",
+                                witness)
+
+    if coupling.index_order != system.index_poset.elements:
+        fail("index_order", coupling.index_order)
+    if coupling.total() != 1:
+        fail("total", coupling.total())
     A, S = system.index_poset, system.state_poset
     for tup, w in coupling.atoms.items():
-        assert w > 0
+        if not w > 0:
+            fail("weight", tup)
         for i, a in enumerate(A.elements):
             for j, b in enumerate(A.elements):
-                if A.leq(a, b):
-                    assert S.leq(tup[i], tup[j]), (tup, a, b)
+                if A.leq(a, b) and not S.leq(tup[i], tup[j]):
+                    fail("order", tup, a, b)
     for alpha in A.elements:
         marg = coupling.marginal(alpha)
         want = system.measure_of(alpha)
         for s in S.elements:
-            assert marg.get(s, F0) == want.of(s), (alpha, s)
+            if marg.get(s, F0) != want.of(s):
+                fail("marginal", alpha, s)
 
 
 def pair_system(p1: RationalMeasure, p2: RationalMeasure,

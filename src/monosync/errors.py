@@ -25,10 +25,6 @@ class NotALeaf(MonosyncError):
     """The requested root is not a leaf of the cover graph."""
 
 
-class NotAChain(MonosyncError):
-    """The poset contains an incomparable pair."""
-
-
 class SizeLimit(MonosyncError):
     """An enumeration exceeded its configured cap."""
 
@@ -62,6 +58,17 @@ class NotErgodic(MonosyncError):
 
 class BudgetExceeded(MonosyncError):
     """Coupling from the past hit the epoch cap without coalescing."""
+
+
+class ContractViolation(MonosyncError):
+    """An exact re-check of a computed object failed.
+
+    ``witness`` names the first failure the check found.
+    """
+
+    def __init__(self, message: str, witness: object = None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class ParseError(MonosyncError):

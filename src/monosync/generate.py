@@ -24,6 +24,7 @@ from .coupling import (
     realize,
     verify_certificate,
 )
+from .errors import ContractViolation
 from .measure import F0, RationalMeasure, rational_measure
 from .poset import Poset, chain, covers, up_sets, validate_poset
 from .synchronize import is_synchronizable
@@ -271,6 +272,8 @@ def search_infeasible_diamond(seed: int, max_trials: int = 10**5,
             "bot": p_bot, "a": p_a, "b": p_b, "top": p_top})
         result = realize(system)
         if isinstance(result, InfeasibilityCertificate):
-            assert verify_certificate(system, result)
+            if not verify_certificate(system, result):
+                raise ContractViolation("certificate fails its re-check",
+                                        trial)
             return trial, system, result
     return None

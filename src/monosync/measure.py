@@ -1,22 +1,19 @@
-"""Exact rational probability measures and inverse probability transforms.
+"""Exact rational probability measures.
 
 A measure assigns a nonnegative ``Fraction`` to every element and sums to
-exactly one.  Given a rooted tree and a linear extension of the state
-poset, the two cumulative distribution functions live here, together
-with the transform that maps ``[0, 1)`` onto the states: the value at
-``t`` is the extension-least element whose cumulative mass exceeds ``t``.
-All arithmetic is exact; nothing is ever rounded.
+exactly one.  All arithmetic is exact; nothing is ever rounded.  The
+inverse probability transform of a measure along a linear extension is
+represented on a grid of equal cells by
+:func:`monosync.synchronize.cell_states`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import DomainMismatch, InvalidMeasure, NotAChain
-from .poset import LinearExtension, Poset, RootedTree
+from .errors import DomainMismatch, InvalidMeasure
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -63,130 +60,3 @@ def rational_measure(elements, masses: Mapping[str, Fraction | int | str],
             raise DomainMismatch(f"mass given for unknown element {x!r}")
     return RationalMeasure(
         {x: Fraction(masses.get(x, 0)) for x in elements})
-
-
-def _check_domain(measure: RationalMeasure, elements) -> None:
-    if set(measure.mass) != set(elements):
-        raise DomainMismatch(
-            f"measure domain {sorted(measure.mass)} != {sorted(elements)}")
-
-
-@dataclass(frozen=True)
-class DistFn:
-    """Cumulative masses, one rational value per element."""
-
-    values: Mapping[str, Fraction]
-
-    def of(self, x: str) -> Fraction:
-        return self.values[x]
-
-
-def dist_fn(measure: RationalMeasure, tree: RootedTree) -> DistFn:
-    """Cumulative mass along the rooted order: the value at ``x`` is the
-    mass of the subtree hanging from ``x``.  The root gets exactly 1."""
-    _check_domain(measure, tree.subtree(tree.root))
-    return DistFn({
-        x: measure.of_set(tree.subtree(x))
-        for x in tree.subtree(tree.root)
-    })
-
-
-def dist_fn_linext(measure: RationalMeasure,
-                   extension: LinearExtension) -> DistFn:
-    """Cumulative mass in extension order; the last element gets exactly 1."""
-    _check_domain(measure, extension.order)
-    acc = F0
-    vals: dict[str, Fraction] = {}
-    for x in extension.order:
-        acc += measure.of(x)
-        vals[x] = acc
-    return DistFn(vals)
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Map ``[0, 1) -> S`` given by finitely many half-open intervals.
-
-    ``values[i]`` is taken on ``[breakpoints[i], breakpoints[i+1])``.
-    Canonical form: breakpoints strictly increase from 0 to 1 and adjacent
-    values differ.
-    """
-
-    breakpoints: tuple[Fraction, ...]
-    values: tuple[str, ...]
-
-    def __post_init__(self):
-        bp, vals = self.breakpoints, self.values
-        if len(bp) != len(vals) + 1 or not vals:
-            raise InvalidMeasure("breakpoints must outnumber values by one")
-        if bp[0] != 0 or bp[-1] != 1:
-            raise InvalidMeasure("step function must cover [0, 1) exactly")
-        for a, b in zip(bp, bp[1:]):
-            if not a < b:
-                raise InvalidMeasure("breakpoints must strictly increase")
-        for a, b in zip(vals, vals[1:]):
-            if a == b:
-                raise InvalidMeasure("adjacent values must differ")
-
-    def value_at(self, t: Fraction) -> str:
-        if not 0 <= t < 1:
-            raise ValueError(f"t={t} outside [0, 1)")
-        return self.values[bisect_right(self.breakpoints, t) - 1]
-
-    def intervals(self) -> tuple[tuple[Fraction, Fraction, str], ...]:
-        return tuple(
-            (self.breakpoints[i], self.breakpoints[i + 1], self.values[i])
-            for i in range(len(self.values)))
-
-    def pushforward(self) -> dict[str, Fraction]:
-        """Total interval length per value; the uniform image measure."""
-        out: dict[str, Fraction] = {}
-        for lo, hi, v in self.intervals():
-            out[v] = out.get(v, F0) + (hi - lo)
-        return out
-
-
-def step_function(breakpoints, values) -> StepFunction:
-    """Canonicalize: merge adjacent equal values, then validate."""
-    bp = [Fraction(b) for b in breakpoints]
-    vals = list(values)
-    out_bp = bp[:1]
-    out_vals: list[str] = []
-    for i, v in enumerate(vals):
-        if out_vals and out_vals[-1] == v:
-            out_bp[-1] = bp[i + 1]
-        else:
-            out_vals.append(v)
-            out_bp.append(bp[i + 1])
-    return StepFunction(tuple(out_bp), tuple(out_vals))
-
-
-def inverse_transform(measure: RationalMeasure,
-                      extension: LinearExtension) -> StepFunction:
-    """The transform sending ``t`` to the extension-least ``x`` with
-    ``t < F<x>``.  Zero-mass elements never appear; the interval length
-    mapped to ``x`` is exactly ``measure.of(x)``, so the transform pushes
-    the uniform law on ``[0, 1)`` forward to the measure."""
-    _check_domain(measure, extension.order)
-    bp = [F0]
-    vals: list[str] = []
-    acc = F0
-    for x in extension.order:
-        m = measure.of(x)
-        if m > 0:
-            acc += m
-            vals.append(x)
-            bp.append(acc)
-    return StepFunction(tuple(bp), tuple(vals))
-
-
-def classical_inverse(measure: RationalMeasure, poset: Poset) -> StepFunction:
-    """Inverse transform for a linearly ordered state space.
-
-    Agrees with :func:`inverse_transform` under the chain's unique
-    linear extension.
-    """
-    if not poset.is_chain():
-        raise NotAChain("state poset is not linearly ordered")
-    order = poset.linear_order()
-    return inverse_transform(measure, LinearExtension(order))

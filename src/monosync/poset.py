@@ -71,12 +71,6 @@ class Poset:
         out.sort(key=lambda p: (self._index[p[0]], self._index[p[1]]))
         return tuple(out)
 
-    def down_set(self, x: str) -> frozenset[str]:
-        return frozenset(z for z in self.elements if self.leq(z, x))
-
-    def up_set_of(self, x: str) -> frozenset[str]:
-        return frozenset(z for z in self.elements if self.leq(x, z))
-
     def minimal(self) -> tuple[str, ...]:
         return tuple(
             x for x in self.elements
@@ -300,21 +294,12 @@ class PosetClass(enum.Enum):
 
 
 def branching_elements(poset: Poset) -> frozenset[str]:
-    """Elements whose children set has two or more members under some leaf rooting.
-
-    Checked by rooting the cover graph at every leaf explicitly; for a tree
-    this coincides with cover-graph degree >= 3.
-    """
+    """Elements whose children set has two or more members under some leaf
+    rooting: on a tree, exactly the elements of cover degree >= 3."""
     graph = cover_graph(poset)
     if not graph.is_tree():
         raise NotATree("cover graph is not a tree")
-    out: set[str] = set()
-    for tau in graph.leaves():
-        tree, _ = root_tree(poset, tau)
-        for x, kids in tree.children.items():
-            if len(kids) >= 2:
-                out.add(x)
-    return frozenset(out)
+    return frozenset(x for x in poset.elements if graph.degree(x) >= 3)
 
 
 def classify(poset: Poset) -> PosetClass:
@@ -349,17 +334,6 @@ class RootedTree:
     root: str
     parent: Mapping[str, str]
     children: Mapping[str, tuple[str, ...]]
-
-    @cached_property
-    def _depth(self) -> dict[str, int]:
-        d = {self.root: 0}
-        stack = [self.root]
-        while stack:
-            x = stack.pop()
-            for c in self.children[x]:
-                d[c] = d[x] + 1
-                stack.append(c)
-        return d
 
     def tree_leq(self, x: str, y: str) -> bool:
         """True iff ``y`` is an ancestor of ``x`` or ``x`` itself."""

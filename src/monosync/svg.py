@@ -12,9 +12,8 @@ from __future__ import annotations
 from typing import Mapping
 
 from .coupling import MeasureSystem
-from .measure import RationalMeasure
 from .poset import LinearExtension
-from .synchronize import CellPermutation, Violation, cell_states
+from .synchronize import CellPermutation, Violation, composed_tables
 
 BAND_WIDTH = 1000
 BAND_HEIGHT = 200
@@ -50,15 +49,13 @@ def svg_permutation(phi: CellPermutation, label: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _band(measure: RationalMeasure, phi: CellPermutation,
-          extension: LinearExtension, row: int, fill: Mapping[str, str],
+def _band(composed: tuple[str, ...], row: int, fill: Mapping[str, str],
           label: str) -> list[str]:
-    raw = cell_states(measure, extension, phi.L)
-    composed = [raw[phi.apply_cell(i)] for i in range(phi.L)]
+    L = len(composed)
     out = [f'<g data-index="{label}">']
     start = 0
-    for i in range(1, phi.L + 1):
-        if i == phi.L or composed[i] != composed[start]:
+    for i in range(1, L + 1):
+        if i == L or composed[i] != composed[start]:
             s = composed[start]
             out.append(
                 f'<rect x="{start}" y="{row}" width="{i - start}" height="1" '
@@ -82,7 +79,7 @@ def svg_bands(system: MeasureSystem,
     """One horizontal band per index, top to bottom in index order;
     violating cells, when given, are framed in red across all bands."""
     indices = system.index_poset.elements
-    L = next(iter(phis.values())).L
+    L, tables = composed_tables(system, phis, extension)
     n = len(indices)
     fill = _state_fill(system.state_poset.elements)
     lines = [
@@ -91,8 +88,7 @@ def svg_bands(system: MeasureSystem,
         f'preserveAspectRatio="none">',
     ]
     for row, alpha in enumerate(indices):
-        lines += _band(system.measure_of(alpha), phis[alpha], extension,
-                       row, fill, alpha)
+        lines += _band(tables[alpha], row, fill, alpha)
     for cell in sorted({v.cell for v in violations}):
         lines.append(
             f'<rect x="{cell}" y="0" width="1" height="{n}" fill="none" '

@@ -18,7 +18,13 @@ from math import lcm
 from typing import Mapping
 
 from .coupling import Coupling, MeasureSystem, Verdict
-from .errors import DomainMismatch, GridMismatch, InfeasibleInput, SizeLimit
+from .errors import (
+    ContractViolation,
+    DomainMismatch,
+    GridMismatch,
+    InfeasibleInput,
+    SizeLimit,
+)
 from .measure import RationalMeasure
 from .poset import LinearExtension, Poset
 
@@ -94,9 +100,10 @@ def synchronize_from_coupling(system: MeasureSystem, coupling: Coupling,
     Expand the atoms into unit cells, sorted by the extension ranks of
     their tuples; each index in turn sends those cells into the interval
     its inverse transform dedicates to the atom's state there.  Counts
-    match exactly because the coupling marginals do, which is asserted
-    rather than assumed.  Pointwise order of the composed maps is then
-    inherited from atom monotonicity cell by cell.
+    match exactly because the coupling marginals do, which is checked
+    rather than assumed (:class:`ContractViolation` otherwise).  Pointwise
+    order of the composed maps is then inherited from atom monotonicity
+    cell by cell, whatever the extension.
     """
     if coupling.index_order != system.index_poset.elements:
         raise DomainMismatch("coupling indices do not match the system")
@@ -138,12 +145,16 @@ def synchronize_from_coupling(system: MeasureSystem, coupling: Coupling,
         n = int(n)
         for i, alpha in enumerate(coupling.index_order):
             p = pointer[alpha][tup[i]]
-            assert p + n <= fence[alpha][tup[i]], (alpha, tup[i])
+            if p + n > fence[alpha][tup[i]]:
+                raise ContractViolation(
+                    f"atoms overfill the cells of {tup[i]!r} at {alpha!r}",
+                    (alpha, tup[i]))
             for k in range(n):
                 perm[alpha][g + k] = p + k
             pointer[alpha][tup[i]] = p + n
         g += n
-    assert g == L
+    if g != L:
+        raise ContractViolation(f"atoms fill {g} of {L} cells", g)
     return {alpha: CellPermutation(L, tuple(cells))
             for alpha, cells in perm.items()}
 
@@ -159,10 +170,12 @@ class Violation:
     state_beta: str
 
 
-def _composed_tables(system: MeasureSystem,
-                     phis: Mapping[str, CellPermutation],
-                     extension: LinearExtension,
-                     ) -> tuple[int, dict[str, tuple[str, ...]]]:
+def composed_tables(system: MeasureSystem,
+                    phis: Mapping[str, CellPermutation],
+                    extension: LinearExtension,
+                    ) -> tuple[int, dict[str, tuple[str, ...]]]:
+    """The grid size and, per index, the state each cell reaches through
+    its permutation and then the inverse transform along ``extension``."""
     if set(phis) != set(system.index_poset.elements):
         raise DomainMismatch("permutation family does not cover the indices")
     grids = {phi.L for phi in phis.values()}
@@ -176,45 +189,52 @@ def _composed_tables(system: MeasureSystem,
     return L, tables
 
 
-def synchronization_violations(system: MeasureSystem,
-                               phis: Mapping[str, CellPermutation],
-                               extension: LinearExtension,
-                               ) -> tuple[Violation, ...]:
-    """Every cell on which some comparable pair maps out of order,
-    scanned cell by cell."""
-    L, tables = _composed_tables(system, phis, extension)
+def _violations(system: MeasureSystem, L: int,
+                tables: Mapping[str, tuple[str, ...]]):
+    """Cells on which a comparable index pair maps out of order, cell-major."""
     pairs = system.index_poset.strict_pairs()
     S = system.state_poset
-    out = []
     for i in range(L):
         for alpha, beta in pairs:
             sa, sb = tables[alpha][i], tables[beta][i]
             if not S.leq(sa, sb):
-                out.append(Violation(i, alpha, beta, sa, sb))
-    return tuple(out)
+                yield Violation(i, alpha, beta, sa, sb)
 
 
-def verify_synchronized(system: MeasureSystem,
-                        phis: Mapping[str, CellPermutation],
-                        extension: LinearExtension) -> Verdict:
-    """Full recomputation of both contract halves.
+def check_cell_tables(system: MeasureSystem, L: int,
+                      tables: Mapping[str, tuple[str, ...]]) -> Verdict:
+    """Full recomputation of the cell-table contract.
 
-    Marginals: the composed map of each index must give every state
-    exactly as many cells as its mass demands.  Order: no violation on
-    any cell.  The failing cell (or the bad marginal) is the witness.
+    Counts: the row of each index must give every state exactly mass
+    times L cells; the witness is ``("counts", index, state)``.  Order:
+    no cell may map a comparable index pair out of order; the witness is
+    the first :class:`Violation` scanned cell by cell.
     """
-    L, tables = _composed_tables(system, phis, extension)
     for alpha in system.index_poset.elements:
         counts: dict[str, int] = {}
         for s in tables[alpha]:
             counts[s] = counts.get(s, 0) + 1
         for s in system.state_poset.elements:
             if counts.get(s, 0) != system.measure_of(alpha).of(s) * L:
-                return Verdict(False, ("marginal", alpha, s))
-    violations = synchronization_violations(system, phis, extension)
-    if violations:
-        return Verdict(False, violations[0])
-    return Verdict(True)
+                return Verdict(False, ("counts", alpha, s))
+    first = next(_violations(system, L, tables), None)
+    return Verdict(True) if first is None else Verdict(False, first)
+
+
+def synchronization_violations(system: MeasureSystem,
+                               phis: Mapping[str, CellPermutation],
+                               extension: LinearExtension,
+                               ) -> tuple[Violation, ...]:
+    """Every cell on which some comparable pair maps out of order,
+    scanned cell by cell."""
+    return tuple(_violations(system, *composed_tables(system, phis, extension)))
+
+
+def verify_synchronized(system: MeasureSystem,
+                        phis: Mapping[str, CellPermutation],
+                        extension: LinearExtension) -> Verdict:
+    """:func:`check_cell_tables` on the composed maps of the family."""
+    return check_cell_tables(system, *composed_tables(system, phis, extension))
 
 
 @dataclass(frozen=True)

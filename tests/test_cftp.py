@@ -27,11 +27,11 @@ from monosync.errors import (
     NotStochMonotone,
 )
 from monosync.formats import parse_system
-from monosync.generate import random_measure
+from monosync.generate import diamond, random_measure
 from monosync.measure import rational_measure
 from monosync.poset import chain, default_root, root_tree, validate_poset
 from monosync.rng import CellSampler
-from monosync.synchronize import cell_states
+from monosync.synchronize import Violation, cell_states
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -81,7 +81,8 @@ def test_check_grand_coupling_witnesses(chain2_kernel, chain2):
     swapped = GrandCoupling(3, chain2, {"lo": ("hi", "lo", "lo"),
                                         "hi": ("lo", "hi", "hi")})
     verdict = check_grand_coupling(chain2_kernel, swapped)
-    assert not verdict and verdict.witness[0] == "order"
+    assert not verdict
+    assert verdict.witness == Violation(0, "lo", "hi", "hi", "lo")
     wrong_counts = GrandCoupling(3, chain2, {"lo": ("lo", "lo", "lo"),
                                              "hi": ("lo", "hi", "hi")})
     verdict = check_grand_coupling(chain2_kernel, wrong_counts)
@@ -127,6 +128,31 @@ def test_w6_mixture_kernel_routes_through_synchronization(w6):
     counts = Counter(sample_many(gc, seed=11, n=600))
     _, p = chi_square_fit(counts, pi)
     assert p > 0.001
+
+
+def half_stay_half_uniform(poset):
+    # rows 1/2 delta_s + 1/2 uniform: monotone, full support, ergodic
+    els = poset.elements
+    u = Fraction(1, len(els))
+    return kernel(poset, {
+        s: rational_measure(els, {
+            t: u / 2 + (Fraction(1, 2) if t == s else 0) for t in els})
+        for s in els})
+
+
+@pytest.mark.parametrize("poset, L", [
+    (diamond(), 8),  # cover graph with a cycle
+    (validate_poset(("x1", "x2", "m", "t1", "t2"),  # class BY
+                    [("x1", "m"), ("x2", "m"), ("m", "t1"), ("m", "t2")]),
+     10),
+])
+def test_grand_coupling_beyond_class_w(poset, L):
+    kern = half_stay_half_uniform(poset)
+    gc = build_grand_coupling(kern)
+    assert isinstance(gc, GrandCoupling) and gc.L == L
+    assert check_grand_coupling(kern, gc)
+    draws = sample_many(gc, seed=2, n=40)
+    assert len(draws) == 40 and set(draws) <= set(poset.elements)
 
 
 def test_identical_rows_coalesce_in_one_step(chain2):

@@ -22,7 +22,7 @@ from monosync.coupling import (
     strassen_coupling,
     verify_certificate,
 )
-from monosync.errors import DomainMismatch, SizeLimit
+from monosync.errors import ContractViolation, DomainMismatch, SizeLimit
 from monosync.formats import parse_system
 from monosync.generate import (
     random_bounded_poset,
@@ -165,8 +165,9 @@ def test_check_coupling_rejects_bad_marginal(w6_system, showcase_coupling):
     atoms = dict(showcase_coupling.atoms)
     moved = atoms.pop(("x", "x"))
     atoms[("y", "y")] += moved
-    with pytest.raises(AssertionError):
+    with pytest.raises(ContractViolation) as err:
         check_coupling(w6_system, Coupling(("1", "2"), atoms))
+    assert err.value.witness == ("marginal", "1", "x")
 
 
 def test_pair_system_shape(p1, p2, w6):

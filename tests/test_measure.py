@@ -1,30 +1,17 @@
-"""Rational measures, distribution functions, and inverse transforms."""
+"""Rational measures and their inverse transforms on grid cells."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from monosync.errors import DomainMismatch, InvalidMeasure, NotAChain
+from monosync.errors import DomainMismatch, GridMismatch, InvalidMeasure
 from monosync.generate import random_class_w, random_measure
-from monosync.measure import (
-    RationalMeasure,
-    StepFunction,
-    classical_inverse,
-    dist_fn,
-    dist_fn_linext,
-    inverse_transform,
-    rational_measure,
-    step_function,
-)
-from monosync.poset import (
-    LinearExtension,
-    antichain,
-    chain,
-    default_root,
-    root_tree,
-)
+from monosync.measure import rational_measure
+from monosync.poset import LinearExtension, default_root, root_tree
+from monosync.synchronize import cell_states, common_grid
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -47,72 +34,35 @@ def test_measure_rejections():
         rational_measure(("a",), {"a": "1/2", "q": "1/2"})
 
 
-def test_dist_fn_tree_vs_extension(p1, w6_rooting):
-    tree, psi = w6_rooting
-    f_tree = dist_fn(p1, tree)
-    assert f_tree.of("x") == Fraction(3, 15)
-    assert f_tree.of("y") == Fraction(2, 15)
-    assert f_tree.of("z") == Fraction(6, 15)
-    assert f_tree.of("w") == Fraction(14, 15)
-    assert f_tree.of("tau") == 1
-    f_psi = dist_fn_linext(p1, psi)
-    assert f_psi.of("x") == Fraction(3, 15)
-    assert f_psi.of("v") == Fraction(7, 15)
-    assert f_psi.of("tau") == 1
-    # the extension value dominates the subtree value everywhere
-    for s in psi.order:
-        assert f_tree.of(s) <= f_psi.of(s)
-
-
 def test_inverse_transform_w6(p2, psi):
-    t = inverse_transform(p2, psi)
-    fifteenths = [Fraction(k, 15) for k in (0, 1, 2, 8, 11, 13, 15)]
-    assert t.breakpoints == tuple(fifteenths)
-    assert t.values == ("x", "y", "z", "v", "w", "tau")
-    assert t.value_at(Fraction(1, 15)) == "y"
-    assert t.value_at(Fraction(7, 15)) == "z"
-    with pytest.raises(ValueError):
-        t.value_at(Fraction(1))
+    cells = cell_states(p2, psi, 15)
+    assert cells == (
+        "x", "y", "z", "z", "z", "z", "z", "z",
+        "v", "v", "v", "w", "w", "tau", "tau")
+    assert cell_states(p2, psi, 30) == tuple(s for s in cells for _ in "ab")
+    with pytest.raises(GridMismatch):
+        cell_states(p2, psi, 5)
 
 
 def test_inverse_transform_skips_zero_mass():
     ext = LinearExtension(("a", "b", "c"))
     m = rational_measure(("a", "b", "c"), {"a": "1/2", "c": "1/2"})
-    t = inverse_transform(m, ext)
-    assert t.values == ("a", "c")
-    assert t.value_at(Fraction(1, 2)) == "c"
+    assert cell_states(m, ext, 2) == ("a", "c")
 
 
 @given(seeds)
 def test_inverse_transform_pushforward_roundtrip(seed):
+    # the cell view pushes the uniform law on the L cells forward to the
+    # measure, and visits the states in extension order
     rng = random.Random(seed)
     poset = random_class_w(rng, rng.randrange(4, 8))
     measure = random_measure(rng, poset, rng.randrange(1, 13))
     _, ext = root_tree(poset, default_root(poset))
-    push = inverse_transform(measure, ext).pushforward()
+    L = common_grid(measure) * rng.randrange(1, 4)
+    cells = cell_states(measure, ext, L)
+    counts = Counter(cells)
     for s in poset.elements:
-        assert push.get(s, Fraction(0)) == measure.of(s)
-
-
-def test_classical_inverse_matches_extension_transform():
-    c = chain(("a", "b", "c"))
-    m = rational_measure(c.elements, {"a": "1/4", "b": "1/4", "c": "1/2"})
-    assert classical_inverse(m, c) == inverse_transform(
-        m, LinearExtension(c.linear_order()))
-    flat = rational_measure(("a", "b"), {"a": "1/2", "b": "1/2"})
-    with pytest.raises(NotAChain):
-        classical_inverse(flat, antichain(("a", "b")))
-
-
-def test_step_function_canonical_form():
-    merged = step_function((0, "1/4", "1/2", 1), ("a", "a", "b"))
-    assert merged.breakpoints == (0, Fraction(1, 2), 1)
-    assert merged.values == ("a", "b")
-    assert merged.intervals() == ((0, Fraction(1, 2), "a"),
-                                  (Fraction(1, 2), 1, "b"))
-    with pytest.raises(InvalidMeasure):
-        StepFunction((0, Fraction(1, 2), 1), ("a", "a"))
-    with pytest.raises(InvalidMeasure):
-        StepFunction((0, Fraction(1, 2)), ("a", "b"))
-    with pytest.raises(InvalidMeasure):
-        StepFunction((0, Fraction(1, 2), Fraction(1, 2), 1), ("a", "b", "c"))
+        assert counts[s] == measure.of(s) * L
+        assert (s in counts) == (measure.of(s) > 0)
+    ranks = [ext.rank(s) for s in cells]
+    assert ranks == sorted(ranks)
