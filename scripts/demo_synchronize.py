@@ -15,9 +15,11 @@ Defaults to the six-element showcase system in data/.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from monosync.coupling import InfeasibilityCertificate, is_stoch_monotone, realize
+from monosync.errors import MonosyncError
 from monosync.formats import parse_system
 from monosync.poset import default_root, root_tree
 from monosync.svg import svg_bands, svg_permutation
@@ -112,4 +114,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        raise SystemExit(main())
+    except MonosyncError as e:  # bad input: a message and exit 2, as the CLI
+        print(f"error: {e}", file=sys.stderr)
+        raise SystemExit(2)

@@ -12,6 +12,7 @@ stationary law, which a rational linear solve cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Mapping
 
@@ -79,7 +80,9 @@ class GrandCoupling:
     """Simultaneous update table: state x, uniform cell i -> next state.
 
     Row x lists the next state per cell; cell counts reproduce the kernel
-    row at x exactly, and rows respect the order cell by cell.
+    row at x exactly, and rows respect the order cell by cell.  The
+    table is read-only once built: the sampler's integer columns and the
+    ergodicity verdict are derived from it once and cached.
     """
 
     L: int
@@ -87,12 +90,37 @@ class GrandCoupling:
     update: Mapping[str, tuple[str, ...]]
 
     def __post_init__(self):
-        if set(self.update) != set(self.state_poset.elements):
+        states = set(self.state_poset.elements)
+        if set(self.update) != states:
             raise GridMismatch("update rows do not cover the state poset")
         for x, row in self.update.items():
             if len(row) != self.L:
                 raise GridMismatch(
                     f"row at {x!r} has {len(row)} cells, expected {self.L}")
+            stray = set(row) - states
+            if stray:
+                raise GridMismatch(
+                    f"row at {x!r} names unknown states {sorted(stray)}")
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """Cell-major view by state index: ``_columns[c][i]`` is the
+        index of the next state from state ``i`` under cell ``c``."""
+        pos = self.state_poset.index
+        rows = (self.update[x] for x in self.state_poset.elements)
+        return tuple(tuple(map(pos, col)) for col in zip(*rows))
+
+    @cached_property
+    def _extremals(self) -> tuple[int, ...]:
+        """Indices of the minimal, then the maximal states."""
+        poset = self.state_poset
+        return tuple(map(poset.index, dict.fromkeys(
+            poset.minimal() + poset.maximal())))
+
+    @cached_property
+    def _ergodic(self) -> Verdict:
+        support = {x: frozenset(row) for x, row in self.update.items()}
+        return _ergodicity(support, self.state_poset.elements)
 
 
 def check_grand_coupling(kern: Kernel, gc: GrandCoupling) -> Verdict:
@@ -189,26 +217,32 @@ def _period(support: Mapping[str, frozenset[str]],
     return abs(g)
 
 
-def is_ergodic(kern: Kernel) -> Verdict:
-    """Irreducible and aperiodic, decided on the support digraph."""
-    support = {x: frozenset(kern.rows[x].support())
-               for x in kern.state_poset.elements}
-    if not _is_irreducible(support, kern.state_poset.elements):
+def _ergodicity(support: Mapping[str, frozenset[str]],
+                elements: tuple[str, ...]) -> Verdict:
+    """Irreducible and aperiodic, decided on a support digraph."""
+    if not _is_irreducible(support, elements):
         return Verdict(False, "reducible")
-    p = _period(support, kern.state_poset.elements)
+    p = _period(support, elements)
     if p != 1:
         return Verdict(False, ("periodic", p))
     return Verdict(True)
 
 
+def is_ergodic(kern: Kernel) -> Verdict:
+    """Irreducible and aperiodic, decided on the support digraph."""
+    return _ergodicity({x: frozenset(kern.rows[x].support())
+                        for x in kern.state_poset.elements},
+                       kern.state_poset.elements)
+
+
 def _require_ergodic_table(gc: GrandCoupling) -> None:
-    support = {x: frozenset(row) for x, row in gc.update.items()}
-    elements = gc.state_poset.elements
-    if not _is_irreducible(support, elements):
-        raise NotErgodic("update table is reducible")
-    p = _period(support, elements)
-    if p != 1:
-        raise NotErgodic(f"update table has period {p}")
+    """Raise :class:`NotErgodic` unless the table's support digraph is
+    ergodic; the verdict is computed once per table."""
+    verdict = gc._ergodic
+    if not verdict:
+        if verdict.witness == "reducible":
+            raise NotErgodic("update table is reducible")
+        raise NotErgodic(f"update table has period {verdict.witness[1]}")
 
 
 def cftp_sample(gc: GrandCoupling, seed: int, stream: int = 0,
@@ -217,34 +251,36 @@ def cftp_sample(gc: GrandCoupling, seed: int, stream: int = 0,
     """One draw with exactly the stationary law.
 
     Doubling epochs reach into the past; the cell at time -t is reused
-    bit for bit across epochs (counter-based draws), and the composed map
-    from each epoch start extends the stored one instead of being replayed.
-    Full-state tracking decides coalescence; the extremal shortcut is
-    recomputed on every epoch and must agree, a guarantee the monotone
-    update table enforces rather than a hope.
+    bit for bit across epochs (counter-based draws, one keyed hash per
+    sampler), and the composed map from each epoch start extends the
+    stored one instead of being replayed.  States are tracked as indices
+    through the table's integer columns, built once per table; the
+    states, cells and draws are those of the string table, for the same
+    ``(seed, stream)``.  Full-state tracking decides coalescence; the
+    extremal shortcut is recomputed on every epoch and must agree, a
+    guarantee the monotone update table enforces rather than a hope.
     """
     if check_ergodic:
         _require_ergodic_table(gc)
     sampler = CellSampler(gc.L, seed, stream)
-    states = gc.state_poset.elements
-    extremals = tuple(dict.fromkeys(
-        gc.state_poset.minimal() + gc.state_poset.maximal()))
-    comp = {x: x for x in states}  # composed map over times -covered..-1
+    cols = gc._columns
+    extremals = gc._extremals
+    identity = tuple(range(len(gc.state_poset)))
+    comp = identity  # composed map over times -covered..-1
     covered = 0
     T = 1
     while True:
-        seg = {x: x for x in states}
+        seg = identity
         for t in range(T, covered, -1):
-            c = sampler.cell_at(t)
-            seg = {x: gc.update[seg[x]][c] for x in states}
-        comp = {x: comp[seg[x]] for x in states}
+            seg = tuple(map(cols[sampler.cell_at(t)].__getitem__, seg))
+        comp = tuple(map(comp.__getitem__, seg))
         covered = T
-        full = set(comp.values())
-        ext = {comp[x] for x in extremals}
+        full = set(comp)
+        ext = {comp[i] for i in extremals}
         if (len(full) == 1) != (len(ext) == 1):
             raise ContractViolation("trackers disagree", T)
         if len(full) == 1:
-            return next(iter(full))
+            return gc.state_poset.elements[comp[0]]
         if T >= max_epoch:
             raise BudgetExceeded(f"no coalescence by epoch {T}")
         T *= 2

@@ -191,14 +191,24 @@ def is_stoch_monotone(system: MeasureSystem,
     """Check every comparable index pair for stochastic dominance.
 
     The witness on failure is ``(alpha, beta, up_set)`` with
-    ``alpha < beta`` but ``P_alpha(U) > P_beta(U)``.
+    ``alpha < beta`` but ``P_alpha(U) > P_beta(U)``: the first one in
+    pair order, then up-set order.  Each ``P_alpha(U)`` is summed once,
+    on first use, and shared by every pair that contains ``alpha``.
     """
     upsets = up_sets(system.state_poset, cap)
+    masses: dict[str, list[Fraction | None]] = {
+        a: [None] * len(upsets) for a in system.index_poset.elements}
     for alpha, beta in system.index_poset.strict_pairs():
-        pa = system.measure_of(alpha)
-        pb = system.measure_of(beta)
-        for u in upsets:
-            if pa.of_set(u) > pb.of_set(u):
+        pa, pb = system.measure_of(alpha), system.measure_of(beta)
+        ma, mb = masses[alpha], masses[beta]
+        for k, u in enumerate(upsets):
+            a = ma[k]
+            if a is None:
+                a = ma[k] = pa.of_set(u)
+            b = mb[k]
+            if b is None:
+                b = mb[k] = pb.of_set(u)
+            if a > b:
                 return Verdict(False, (alpha, beta, u))
     return Verdict(True)
 

@@ -72,16 +72,20 @@ class Poset:
         return tuple(out)
 
     def minimal(self) -> tuple[str, ...]:
-        return tuple(
-            x for x in self.elements
-            if not any(self.lt(z, x) for z in self.elements)
-        )
+        return self._minimal
 
     def maximal(self) -> tuple[str, ...]:
-        return tuple(
-            x for x in self.elements
-            if not any(self.lt(x, z) for z in self.elements)
-        )
+        return self._maximal
+
+    @cached_property
+    def _minimal(self) -> tuple[str, ...]:
+        above = {b for (a, b) in self.relation if a != b}
+        return tuple(x for x in self.elements if x not in above)
+
+    @cached_property
+    def _maximal(self) -> tuple[str, ...]:
+        below = {a for (a, b) in self.relation if a != b}
+        return tuple(x for x in self.elements if x not in below)
 
     def is_chain(self) -> bool:
         return all(
@@ -243,8 +247,11 @@ def covers(poset: Poset) -> tuple[tuple[str, str], ...]:
 def default_root(poset: Poset) -> str:
     """A deterministic cover-graph leaf to root at: the first maximal leaf
     in element order when one exists (a chain is then rooted at its top,
-    reproducing the classical transform), else the first leaf."""
+    reproducing the classical transform), else the first leaf.  Raises
+    :class:`NotATree` when the cover graph has no leaf."""
     leaves = cover_graph(poset).leaves()
+    if not leaves:
+        raise NotATree("cover graph has no leaf to root at")
     maximal = set(poset.maximal())
     for x in leaves:
         if x in maximal:

@@ -9,25 +9,31 @@ only on (seed, stream, t) and never on query order.
 from __future__ import annotations
 
 from hashlib import blake2b
+from struct import Struct
 
 _WORD = 64  # bits hashed out per attempt
+_COUNTER = Struct(">QI")  # (t mod 2**64, attempt), big-endian
 
 
 class CellSampler:
     """Uniform draws over ``{0, ..., L-1}``, addressable by time index.
 
     ``cell_at(t)`` is a pure function of ``(seed, stream, t)``; repeated
-    and out-of-order queries agree bit for bit.  Rejection sampling
-    removes the modulo bias exactly, so every cell has probability
-    ``1/L`` under the uniform-output model of the hash.
+    and out-of-order queries agree bit for bit.  Each word is a keyed
+    blake2b of the 12-byte counter ``(t, attempt)``; the keyed state is
+    built once per sampler and copied per word, which hashes exactly the
+    bytes a fresh keyed hash would, so the stream does not depend on it.
+    Rejection sampling removes the modulo bias exactly, so every cell
+    has probability ``1/L`` under the uniform-output model of the hash.
     """
 
     def __init__(self, L: int, seed: int, stream: int = 0):
         if L <= 0:
             raise ValueError(f"grid size {L} must be positive")
         self._L = L
-        self._key = ((seed % 2**64).to_bytes(8, "big")
-                     + (stream % 2**64).to_bytes(8, "big"))
+        key = ((seed % 2**64).to_bytes(8, "big")
+               + (stream % 2**64).to_bytes(8, "big"))
+        self._keyed = blake2b(key=key, digest_size=_WORD // 8)
         self._bound = (2**_WORD // L) * L
         self._cache: dict[int, int] = {}
 
@@ -36,9 +42,8 @@ class CellSampler:
         return self._L
 
     def _word(self, t: int, attempt: int) -> int:
-        h = blake2b(key=self._key, digest_size=_WORD // 8)
-        h.update((t % 2**64).to_bytes(8, "big"))
-        h.update(attempt.to_bytes(4, "big"))
+        h = self._keyed.copy()
+        h.update(_COUNTER.pack(t % 2**64, attempt))
         return int.from_bytes(h.digest(), "big")
 
     def cell_at(self, t: int) -> int:

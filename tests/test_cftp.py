@@ -1,5 +1,6 @@
 """Grand couplings, perfect sampling, and the exact stationary law."""
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -21,6 +22,7 @@ from monosync.cftp import (
 from monosync.coupling import InfeasibilityCertificate, verify_certificate
 from monosync.errors import (
     BudgetExceeded,
+    ContractViolation,
     DomainMismatch,
     GridMismatch,
     NotErgodic,
@@ -91,6 +93,12 @@ def test_check_grand_coupling_witnesses(chain2_kernel, chain2):
         GrandCoupling(3, chain2, {"lo": ("lo", "lo", "hi")})
     with pytest.raises(GridMismatch):
         GrandCoupling(2, chain2, {"lo": ("lo",), "hi": ("hi",)})
+
+
+def test_grand_coupling_rejects_unknown_states(chain2):
+    with pytest.raises(GridMismatch, match="unknown states"):
+        GrandCoupling(3, chain2, {"lo": ("lo", "zz", "hi"),
+                                  "hi": ("lo", "hi", "hi")})
 
 
 def test_not_stoch_monotone_kernel(chain2):
@@ -181,6 +189,58 @@ def test_cftp_epoch_budget(chain2_kernel):
         cftp_sample(gc, seed=1, max_epoch=1)
 
 
+def test_trackers_disagree_on_a_non_monotone_table():
+    # cell 0 sends a->b, b->a, c->b: the extremals a and c meet at b
+    # while b goes to a, so only full-state tracking sees no coalescence
+    c3 = chain(("a", "b", "c"))
+    gc = GrandCoupling(2, c3, {"a": ("b", "b"), "b": ("a", "c"),
+                               "c": ("b", "c")})
+    assert CellSampler(2, 0, 0).cell_at(1) == 0
+    with pytest.raises(ContractViolation, match="trackers disagree") as err:
+        cftp_sample(gc, seed=0)
+    assert err.value.witness == 1
+
+
+def lazy_walk_16():
+    # up 4/16 or 5/16, down 5/16 or 4/16, holding the rest: monotone
+    els = tuple(f"s{i}" for i in range(16))
+    rows = {}
+    for i, x in enumerate(els):
+        m = {x: Fraction(1)}
+        if i < 15:
+            m[els[i + 1]] = Fraction(4 + i % 2, 16)
+        if i > 0:
+            m[els[i - 1]] = Fraction(5 - i % 2, 16)
+        m[x] -= sum(m.values()) - 1
+        rows[x] = rational_measure(els, m)
+    return kernel(chain(els), rows)
+
+
+def w6_shifted_mixture(w6):
+    # 1/2 delta_f(s) + 1/2 uniform for an order-preserving f: monotone
+    f = {"x": "z", "y": "y", "z": "z", "v": "tau", "w": "w", "tau": "tau"}
+    return kernel(w6, {
+        s: rational_measure(W6_ELEMENTS, {
+            t: Fraction(1, 12) + (Fraction(1, 2) if t == f[s] else 0)
+            for t in W6_ELEMENTS})
+        for s in W6_ELEMENTS})
+
+
+# digests of the draws as first recorded; the stream must not move
+@pytest.mark.parametrize("name, seed, n, digest", [
+    ("walk16", 17, 400,
+     "fd9766e50bb53591769132e81d3a553d5dedd85cc8473ba81104e4750a94e615"),
+    ("w6", 23, 600,
+     "045fe5082f191561e9e150d88f59da1d570f93f149a3873fbd68034fc3d8a931"),
+])
+def test_sample_many_stream_pinned(w6, name, seed, n, digest):
+    kern = lazy_walk_16() if name == "walk16" else w6_shifted_mixture(w6)
+    gc = build_grand_coupling(kern)
+    assert check_grand_coupling(kern, gc)
+    draws = sample_many(gc, seed=seed, n=n)
+    assert hashlib.sha256(" ".join(draws).encode()).hexdigest() == digest
+
+
 def test_ergodicity_verdicts(chain2):
     ident = kernel(chain2, {"lo": two_state(1, 0), "hi": two_state(0, 1)})
     verdict = is_ergodic(ident)
@@ -191,6 +251,10 @@ def test_ergodicity_verdicts(chain2):
     with pytest.raises(NotErgodic):
         gc = GrandCoupling(1, chain2, {"lo": ("lo",), "hi": ("hi",)})
         cftp_sample(gc, seed=0)
+    flip = GrandCoupling(1, chain2, {"lo": ("hi",), "hi": ("lo",)})
+    for _ in range(2):  # the cached verdict still refuses every batch
+        with pytest.raises(NotErgodic, match="period 2"):
+            sample_many(flip, seed=0, n=1)
     with pytest.raises(NotErgodic):
         stationary_exact(ident)
 

@@ -96,6 +96,16 @@ def test_synchronize_showcase(capsys, data_dir, tmp_path):
         assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
 
 
+def test_synchronize_without_leaf_is_input_error(capsys, data_dir, tmp_path):
+    # the diamond's cover graph is a 4-cycle: no leaf to root at
+    rc, out, err = run(capsys, "synchronize",
+                       "--system", str(data_dir / "diamond_infeasible.system"),
+                       "--out", str(tmp_path))
+    assert rc == 2 and out == []
+    assert err.startswith("error:") and "no leaf" in err
+    assert "Traceback" not in err
+
+
 def test_synchronize_cap_hits(capsys, data_dir, tmp_path):
     rc, _, err = run(capsys, "synchronize",
                      "--system", str(data_dir / "w6.system"),

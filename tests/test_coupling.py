@@ -32,7 +32,7 @@ from monosync.generate import (
     random_poset,
 )
 from monosync.measure import rational_measure
-from monosync.poset import chain, validate_poset
+from monosync.poset import chain, up_sets, validate_poset
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -98,6 +98,39 @@ def test_is_stoch_monotone_witness(chain2):
     assert not verdict
     alpha, beta, upset = verdict.witness
     assert (alpha, beta) == ("lo", "hi") and upset == frozenset({"hi"})
+
+
+def brute_stoch_monotone_witness(system):
+    """First (alpha, beta, U) with alpha < beta and P_alpha(U) > P_beta(U),
+    pairs in element order, then up-sets in ``up_sets`` order."""
+    idx = system.index_poset
+    for alpha in idx.elements:
+        for beta in idx.elements:
+            if not idx.lt(alpha, beta):
+                continue
+            for u in up_sets(system.state_poset):
+                if (system.measure_of(alpha).of_set(u)
+                        > system.measure_of(beta).of_set(u)):
+                    return (alpha, beta, u)
+    return None
+
+
+@given(seeds)
+@settings(max_examples=60)
+def test_is_stoch_monotone_matches_bruteforce(seed):
+    rng = random.Random(seed)
+    index = random_poset(rng, rng.randrange(2, 5), rng.uniform(0.4, 1))
+    states = random_poset(rng, rng.randrange(2, 5))
+    D = rng.randrange(1, 6)
+    measures = dict(random_monotone_system(rng, index, states, D).measures)
+    for alpha in index.elements:  # break monotonicity here and there
+        if rng.random() < 0.3:
+            measures[alpha] = random_measure(rng, states, D)
+    system = measure_system(index, states, measures)
+    verdict = is_stoch_monotone(system)
+    want = brute_stoch_monotone_witness(system)
+    assert bool(verdict) == (want is None)
+    assert verdict.witness == want
 
 
 def test_monotone_tuples_showcase(pair_poset, w6):

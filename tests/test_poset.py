@@ -147,9 +147,26 @@ def test_up_sets_match_bruteforce(seed):
     assert set(got) == brute_up_sets(p)
 
 
+def test_default_root_needs_a_leaf():
+    with pytest.raises(NotATree, match="no leaf"):
+        default_root(diamond())
+
+
 def test_up_sets_cap():
     with pytest.raises(SizeLimit):
         up_sets(antichain(tuple("abcdefgh")), cap=10)
+
+
+@given(seeds)
+def test_extremals_match_definition(seed):
+    rng = random.Random(seed)
+    p = random_poset(rng, rng.randrange(1, 7))
+    els = p.elements
+    assert p.minimal() == tuple(
+        x for x in els if not any(p.lt(z, x) for z in els))
+    assert p.maximal() == tuple(
+        x for x in els if not any(p.lt(x, z) for z in els))
+    assert p.minimal() is p.minimal()  # computed once per poset
 
 
 @given(seeds)
