@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import ContractViolation, DomainMismatch, SizeLimit
-from .linprog import FarkasVector, solve_feasibility
+from .linprog import FarkasVector, integral, solve_feasibility
 from .measure import F0, F1, RationalMeasure
 from .poset import DEFAULT_UPSET_CAP, Poset, chain, up_sets
 
@@ -99,12 +99,21 @@ class Verdict:
         return self.ok
 
 
+def _numerators(measures) -> list[dict[str, int]]:
+    """The masses of every measure as integer numerators over one common
+    denominator, the lcm of them all: sums of them compare as the masses do."""
+    _, ints = integral([m for p in measures for m in p.mass.values()])
+    it = iter(ints)
+    return [{x: next(it) for x in p.mass} for p in measures]
+
+
 def dominance_violation(p1: RationalMeasure, p2: RationalMeasure,
                         poset: Poset, cap: int = DEFAULT_UPSET_CAP,
                         ) -> frozenset[str] | None:
     """An up-set with ``p1(U) > p2(U)``, or None when ``p1`` is dominated."""
+    n1, n2 = _numerators((p1, p2))
     for u in up_sets(poset, cap):
-        if p1.of_set(u) > p2.of_set(u):
+        if sum(map(n1.__getitem__, u)) > sum(map(n2.__getitem__, u)):
             return u
     return None
 
@@ -193,21 +202,25 @@ def is_stoch_monotone(system: MeasureSystem,
     The witness on failure is ``(alpha, beta, up_set)`` with
     ``alpha < beta`` but ``P_alpha(U) > P_beta(U)``: the first one in
     pair order, then up-set order.  Each ``P_alpha(U)`` is summed once,
-    on first use, and shared by every pair that contains ``alpha``.
+    on first use, as an integer numerator over the lcm of all the
+    system's masses, and shared by every pair that contains ``alpha``.
     """
     upsets = up_sets(system.state_poset, cap)
-    masses: dict[str, list[Fraction | None]] = {
-        a: [None] * len(upsets) for a in system.index_poset.elements}
+    indices = system.index_poset.elements
+    numer = dict(zip(indices, _numerators(
+        [system.measure_of(a) for a in indices])))
+    masses: dict[str, list[int | None]] = {
+        a: [None] * len(upsets) for a in indices}
     for alpha, beta in system.index_poset.strict_pairs():
-        pa, pb = system.measure_of(alpha), system.measure_of(beta)
+        na, nb = numer[alpha].__getitem__, numer[beta].__getitem__
         ma, mb = masses[alpha], masses[beta]
         for k, u in enumerate(upsets):
             a = ma[k]
             if a is None:
-                a = ma[k] = pa.of_set(u)
+                a = ma[k] = sum(map(na, u))
             b = mb[k]
             if b is None:
-                b = mb[k] = pb.of_set(u)
+                b = mb[k] = sum(map(nb, u))
             if a > b:
                 return Verdict(False, (alpha, beta, u))
     return Verdict(True)
@@ -275,7 +288,11 @@ def realize(system: MeasureSystem,
     one equation per (index, state): the weights of tuples assigning
     ``s`` to ``alpha`` must add up to ``P_alpha(s)``.  Feasible systems
     yield a coupling whose marginals match exactly; infeasible ones
-    yield a certificate that :func:`verify_certificate` re-checks.
+    yield a certificate that :func:`verify_certificate` re-checks.  Both
+    are checked before they are returned: the coupling by
+    :func:`check_coupling`, the certificate against the tuples already
+    enumerated here (nonpositive on each, ``y.b`` equal to its positive
+    gap); either failure raises :class:`ContractViolation`.
     """
     tuples = monotone_tuples(system.index_poset, system.state_poset, cap)
     indices = system.index_poset.elements
@@ -286,7 +303,7 @@ def realize(system: MeasureSystem,
         for j, s in enumerate(states)
     }
     columns = [
-        tuple((row_of[(a, tup[i])], F1) for i, a in enumerate(indices))
+        tuple((row_of[(a, tup[i])], 1) for i, a in enumerate(indices))
         for tup in tuples
     ]
     b = [F0] * len(row_of)
@@ -301,25 +318,48 @@ def realize(system: MeasureSystem,
                                  key=lambda kv: kv[1])
             if result.y[r] != 0
         }
+        bad = _positive_tuple(system, dual, tuples)
+        rhs = _dual_rhs(system, dual)
+        if bad is not None or not rhs == result.gap > 0:
+            witness = ("tuple", bad) if bad is not None else ("gap", rhs)
+            raise ContractViolation(
+                f"certificate fails its check: {witness}", witness)
         return InfeasibilityCertificate(dual, result.gap)
     atoms = {tuples[j]: w for j, w in sorted(result.x.items())}
-    return Coupling(indices, atoms)
+    coupling = Coupling(indices, atoms)
+    check_coupling(system, coupling)
+    return coupling
+
+
+def _positive_tuple(system: MeasureSystem,
+                    dual: Mapping[tuple[str, str], Fraction],
+                    tuples) -> tuple[str, ...] | None:
+    """The first tuple on which ``dual`` contracts to a positive value."""
+    _, ints = integral(list(dual.values()))
+    weights: dict[str, dict[str, int]] = {}
+    for (a, s), w in zip(dual, ints):
+        weights.setdefault(a, {})[s] = w
+    getters = [weights.get(a, {}).get for a in system.index_poset.elements]
+    for tup in tuples:
+        if sum(get(s, 0) for get, s in zip(getters, tup)) > 0:
+            return tup
+    return None
+
+
+def _dual_rhs(system: MeasureSystem,
+              dual: Mapping[tuple[str, str], Fraction]) -> Fraction:
+    """``y.b``: the dual contracted with the system's masses."""
+    return sum(
+        (w * system.measure_of(a).of(s) for (a, s), w in dual.items()), F0)
 
 
 def verify_certificate(system: MeasureSystem,
                        certificate: InfeasibilityCertificate,
                        cap: int = DEFAULT_TUPLE_CAP) -> bool:
     """Exact re-check of a Farkas certificate against the constraint system."""
-    dual = certificate.dual
-    indices = system.index_poset.elements
-    for tup in monotone_tuples(system.index_poset, system.state_poset, cap):
-        contracted = sum(
-            (dual.get((a, tup[i]), F0) for i, a in enumerate(indices)), F0)
-        if contracted > 0:
-            return False
-    rhs = sum(
-        (w * system.measure_of(a).of(s) for (a, s), w in dual.items()), F0)
-    return rhs > 0
+    tuples = monotone_tuples(system.index_poset, system.state_poset, cap)
+    return (_positive_tuple(system, certificate.dual, tuples) is None
+            and _dual_rhs(system, certificate.dual) > 0)
 
 
 def check_coupling(system: MeasureSystem, coupling: Coupling) -> None:

@@ -1,24 +1,34 @@
-"""Exact rational feasibility solver: phase-one simplex with Bland's rule.
+"""Exact rational feasibility solver: fraction-free phase-one simplex.
 
 Decides whether ``A x = b`` admits ``x >= 0``, for a sparse column matrix
 with rational entries and ``b >= 0``.  Runs the revised simplex on
-``min sum(artificials)`` keeping the basis inverse explicitly; Bland's
-pivoting rule guarantees termination without any tolerance.  On success
-returns the basic feasible point; on failure returns a Farkas vector
-``y`` with ``y.A <= 0`` componentwise and ``y.b > 0``, an exact
-certificate that no solution exists.
+``min sum(artificials)`` with Bland's pivoting rule, which terminates
+without any tolerance.  On success returns the basic feasible point; on
+failure returns a Farkas vector ``y`` with ``y.A <= 0`` componentwise and
+``y.b > 0``, an exact certificate that no solution exists.
+
+All arithmetic is on integers (Edmonds 1967; Bareiss 1968).  ``b`` is put
+over the lcm of its denominators and each column over the lcm of its
+own, so the basis matrix ``B`` is integral.  The solver keeps its
+adjugate ``T = det(B) B^-1`` and ``det(B) > 0`` instead of ``B^-1``: on
+a pivot every row of ``T`` other than the pivot row is updated with one
+exact integer division by the old determinant, and the new determinant
+is the pivot element.  Scaling a column or the right-hand side by a
+positive factor changes neither the sign of a reduced cost nor the order
+of the ratios, so every pivot is the one the rational simplex takes.
+``Fraction`` appears only at the boundary: in the input and in the
+returned point or certificate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import Sequence
 
-F0 = Fraction(0)
-F1 = Fraction(1)
-
-SparseColumn = Sequence[tuple[int, Fraction]]
+SparseColumn = Sequence[tuple[int, Fraction | int]]
 
 
 @dataclass(frozen=True)
@@ -32,90 +42,107 @@ class FarkasVector:
     gap: Fraction  # y.b, strictly positive
 
 
+def integral(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+    """The lcm of the values' denominators, and the values times it."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def solve_feasibility(columns: Sequence[SparseColumn],
-                      b: Sequence[Fraction],
+                      b: Sequence[Fraction | int],
                       ) -> FeasiblePoint | FarkasVector:
     m = len(b)
     n = len(columns)
     if any(v < 0 for v in b):
         raise ValueError("right-hand side must be nonnegative")
 
-    binv = [[F0] * m for _ in range(m)]
+    rows: list[tuple[int, ...]] = []
+    coefs: list[tuple[int, ...]] = []
+    scales: list[int] = []
+    for col in columns:
+        scale, ints = integral([c for _, c in col])
+        rows.append(tuple(r for r, _ in col))
+        coefs.append(tuple(ints))
+        scales.append(scale)
+    bscale, xb = integral(b)  # xb = T (bscale b)
+
+    adj = [[0] * m for _ in range(m)]  # T = det(B) B^-1
     for i in range(m):
-        binv[i][i] = F1
-    xb = [Fraction(v) for v in b]
+        adj[i][i] = 1
+    det = 1
     basis = list(range(n, n + m))  # artificial j sits in column n + j
 
-    def dual() -> list[Fraction]:
-        # y = c_B B^{-1}; phase-one cost is 1 on artificials, 0 elsewhere
-        y = [F0] * m
+    def dual() -> list[int]:
+        # det(B) y, where y = c_B B^-1 and the phase-one cost is 1 on
+        # artificials, 0 elsewhere; artificial rows carry no scale
+        y = [0] * m
         for i, col in enumerate(basis):
             if col >= n:
-                row = binv[i]
-                for k in range(m):
-                    if row[k]:
-                        y[k] += row[k]
+                y = list(map(add, y, adj[i]))
         return y
 
     while True:
         y = dual()
         in_basis = set(basis)
         entering = -1
-        for j in range(n + m):
-            if j in in_basis:
-                continue
-            if j < n:
-                reduced = -sum(c * y[r] for r, c in columns[j])
-            else:
-                reduced = F1 - y[j - n]
-            if reduced < 0:
+        for j in range(n):
+            if j not in in_basis and sum(
+                    map(mul, coefs[j], map(y.__getitem__, rows[j]))) > 0:
                 entering = j
                 break
+        else:
+            for k in range(m):
+                if n + k not in in_basis and y[k] > det:
+                    entering = n + k
+                    break
         if entering < 0:
             break
 
         if entering < n:
-            d = [F0] * m
-            for r, c in columns[entering]:
-                for i in range(m):
-                    if binv[i][r]:
-                        d[i] += binv[i][r] * c
+            ent_rows, ent_coefs = rows[entering], coefs[entering]
+            d = [sum(map(mul, ent_coefs, map(row.__getitem__, ent_rows)))
+                 for row in adj]
         else:
             k = entering - n
-            d = [binv[i][k] for i in range(m)]
+            d = [row[k] for row in adj]
 
+        # min xb[i] / d[i] over d[i] > 0, ties to the smallest basis index
         leave = -1
-        best: Fraction | None = None
         for i in range(m):
             if d[i] > 0:
-                ratio = xb[i] / d[i]
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                lhs, rhs = xb[i] * d[leave], xb[leave] * d[i]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:  # pragma: no cover - phase-one objective is bounded
             raise ArithmeticError("unbounded phase-one direction")
 
         piv = d[leave]
-        binv[leave] = [v / piv for v in binv[leave]]
-        xb[leave] /= piv
+        row_l, x_l = adj[leave], xb[leave]
         for i in range(m):
-            if i != leave and d[i]:
-                f = d[i]
-                row_l = binv[leave]
-                row_i = binv[i]
-                for k in range(m):
-                    if row_l[k]:
-                        row_i[k] -= f * row_l[k]
-                xb[i] -= f * xb[leave]
+            if i == leave:
+                continue
+            f = d[i]
+            if f:
+                adj[i] = [(piv * a - f * c) // det
+                          for a, c in zip(adj[i], row_l)]
+                xb[i] = (piv * xb[i] - f * x_l) // det
+            elif piv != det:
+                adj[i] = [piv * a // det for a in adj[i]]
+                xb[i] = piv * xb[i] // det
+        det = piv
         basis[leave] = entering
 
-    gap = sum((xb[i] for i, col in enumerate(basis) if col >= n), F0)
+    denom = det * bscale
+    gap = Fraction(sum(xb[i] for i, col in enumerate(basis) if col >= n),
+                   denom)
     if gap == 0:
         point = {
-            col: xb[i]
+            col: Fraction(scales[col] * xb[i], denom)
             for i, col in enumerate(basis)
             if col < n and xb[i] != 0
         }
         return FeasiblePoint(point)
-    return FarkasVector(tuple(dual()), gap)
+    return FarkasVector(tuple(Fraction(v, det) for v in dual()), gap)

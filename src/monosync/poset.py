@@ -63,6 +63,10 @@ class Poset:
 
     def strict_pairs(self) -> tuple[tuple[str, str], ...]:
         """All pairs ``(a, b)`` with ``a < b``, in element-index order."""
+        return self._strict_pairs
+
+    @cached_property
+    def _strict_pairs(self) -> tuple[tuple[str, str], ...]:
         out = [
             (a, b)
             for (a, b) in self.relation

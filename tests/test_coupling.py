@@ -1,5 +1,6 @@
 """Stochastic order, Strassen couplings, and the realizability oracle."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SHOWCASE_ATOMS
+from monosync import coupling
 from monosync.coupling import (
     Coupling,
     InfeasibilityCertificate,
@@ -23,14 +25,21 @@ from monosync.coupling import (
     verify_certificate,
 )
 from monosync.errors import ContractViolation, DomainMismatch, SizeLimit
-from monosync.formats import parse_system
+from monosync.formats import (
+    parse_certificate,
+    parse_system,
+    serialize_certificate,
+    serialize_coupling,
+)
 from monosync.generate import (
     random_bounded_poset,
     random_class_w,
     random_measure,
     random_monotone_system,
     random_poset,
+    up_moves,
 )
+from monosync.linprog import FarkasVector, FeasiblePoint, solve_feasibility
 from monosync.measure import rational_measure
 from monosync.poset import chain, up_sets, validate_poset
 
@@ -123,9 +132,9 @@ def test_is_stoch_monotone_matches_bruteforce(seed):
     states = random_poset(rng, rng.randrange(2, 5))
     D = rng.randrange(1, 6)
     measures = dict(random_monotone_system(rng, index, states, D).measures)
-    for alpha in index.elements:  # break monotonicity here and there
-        if rng.random() < 0.3:
-            measures[alpha] = random_measure(rng, states, D)
+    for alpha in index.elements:  # break monotonicity here and there,
+        if rng.random() < 0.3:    # on a grid of another denominator
+            measures[alpha] = random_measure(rng, states, rng.randrange(1, 8))
     system = measure_system(index, states, measures)
     verdict = is_stoch_monotone(system)
     want = brute_stoch_monotone_witness(system)
@@ -185,6 +194,43 @@ def test_realize_feasible_on_bounded_index(seed):
     check_coupling(system, got)
 
 
+def test_realize_checks_a_wrong_point(monkeypatch, w6_system):
+    def off_by_one_weight(columns, b):
+        got = solve_feasibility(columns, b)
+        j = min(got.x)
+        return FeasiblePoint({**got.x, j: got.x[j] + Fraction(1, 15)})
+
+    monkeypatch.setattr(coupling, "solve_feasibility", off_by_one_weight)
+    with pytest.raises(ContractViolation) as err:
+        realize(w6_system)
+    assert err.value.witness == ("total", Fraction(16, 15))
+
+
+def test_realize_checks_a_wrong_certificate(monkeypatch, data_dir):
+    system = parse_system(data_dir / "diamond_infeasible.system")
+
+    def raised_first_entry(columns, b):
+        got = solve_feasibility(columns, b)
+        return FarkasVector((got.y[0] + 1,) + got.y[1:], got.gap)
+
+    monkeypatch.setattr(coupling, "solve_feasibility", raised_first_entry)
+    with pytest.raises(ContractViolation) as err:
+        realize(system)
+    kind, tup = err.value.witness
+    assert kind == "tuple"
+    assert tup[0] == "bot"  # row 0 is (index bot, state bot)
+
+    def wrong_gap(columns, b):
+        got = solve_feasibility(columns, b)
+        return FarkasVector(got.y, got.gap + 1)
+
+    monkeypatch.setattr(coupling, "solve_feasibility", wrong_gap)
+    with pytest.raises(ContractViolation) as err:
+        realize(system)
+    cert = parse_certificate(data_dir / "diamond_infeasible.cert")
+    assert err.value.witness == ("gap", cert.gap)
+
+
 def test_coupling_marginal_and_total(showcase_coupling, p1, p2):
     assert showcase_coupling.total() == 1
     marg1 = showcase_coupling.marginal("1")
@@ -207,3 +253,71 @@ def test_pair_system_shape(p1, p2, w6):
     system = pair_system(p1, p2, w6)
     assert system.index_poset.elements == ("1", "2")
     assert system.measure_of("1") is p1 and system.measure_of("2") is p2
+
+
+def w6_diagonal_mixture(w6):
+    """1/12 everywhere plus 1/2 on the diagonal: 560 monotone tuples."""
+    return measure_system(w6, w6, {
+        s: rational_measure(w6.elements, {
+            t: Fraction(1, 12) + (Fraction(1, 2) if t == s else 0)
+            for t in w6.elements})
+        for s in w6.elements})
+
+
+def class_w_pair(seed):
+    rng = random.Random(seed)
+    S = random_class_w(rng, 5 + seed % 3)
+    p1 = random_measure(rng, S, 12)
+    return pair_system(p1, up_moves(rng, p1, S, 24, 12), S)
+
+
+def farkas_mixture(data_dir, seed, kite):
+    """(1 - e) P + e Q for the infeasible diamond system P and a seeded
+    monotone Q, with the largest e in a fixed list that keeps the data/
+    certificate's gap positive; on the kite the top state gets no mass."""
+    base = parse_system(data_dir / "diamond_infeasible.system")
+    cert = parse_certificate(data_dir / "diamond_infeasible.cert")
+    D = base.index_poset
+    Q = random_monotone_system(random.Random(seed), D, D, 5)
+    yq = sum((w * Q.measure_of(a).of(s)
+              for (a, s), w in cert.dual.items()), Fraction(0))
+    e = max(x for x in (Fraction(1, 20), Fraction(1, 10), Fraction(1, 5),
+                        Fraction(1, 3)) if (1 - x) * cert.gap + x * yq > 0)
+    states = D
+    if kite:
+        states = validate_poset(
+            ("bot", "a", "b", "top", "peak"),
+            [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top"),
+             ("top", "peak")])
+    return measure_system(D, states, {
+        a: rational_measure(states.elements, {
+            s: (1 - e) * base.measure_of(a).of(s) + e * Q.measure_of(a).of(s)
+            for s in D.elements})
+        for a in D.elements})
+
+
+def pinned_systems(data_dir, w6):
+    yield parse_system(data_dir / "w6.system")
+    yield parse_system(data_dir / "diamond_infeasible.system")
+    yield w6_diagonal_mixture(w6)
+    for seed in range(6):
+        yield class_w_pair(seed)
+    for seed in range(4):
+        yield farkas_mixture(data_dir, seed, kite=seed % 2 == 1)
+
+
+# digest of every realize output as first recorded; the LP's pivot path,
+# and so every coupling and certificate, must not move
+REALIZE_DIGEST = (
+    "3c261b2c308b91d49e1e89c79f8dfdd2cddf33e4fd826e6a7e6ff11dfbc3f6af")
+
+
+def test_realize_outputs_pinned(data_dir, w6):
+    h = hashlib.sha256()
+    for system in pinned_systems(data_dir, w6):
+        got = realize(system)
+        if isinstance(got, Coupling):
+            h.update(serialize_coupling(got).encode())
+        else:
+            h.update(serialize_certificate(got).encode())
+    assert h.hexdigest() == REALIZE_DIGEST

@@ -170,6 +170,16 @@ def test_extremals_match_definition(seed):
 
 
 @given(seeds)
+def test_strict_pairs_match_definition(seed):
+    rng = random.Random(seed)
+    p = random_poset(rng, rng.randrange(1, 7))
+    els = p.elements
+    assert p.strict_pairs() == tuple(
+        (a, b) for a in els for b in els if p.lt(a, b))
+    assert p.strict_pairs() is p.strict_pairs()  # computed once per poset
+
+
+@given(seeds)
 def test_dual_involution(seed):
     rng = random.Random(seed)
     p = random_poset(rng, rng.randrange(1, 7))
