@@ -10,6 +10,7 @@ cap hit.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -204,6 +205,7 @@ def cmd_cftp(cfg: JobConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the four commands."""
     parser = argparse.ArgumentParser(
         prog="monosync",
         description="Monotone realizations, synchronization, perfect sampling")
@@ -265,8 +267,21 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser as it was (an ``append`` option copies
+    # its default list before appending), so one parser serves every call
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code.
+
+    The parser is built on the first call and reused by every later call
+    in the process, so a caller that runs many commands in process pays
+    for it once.
+    """
+    args = _parser().parse_args(argv)
     try:
         cfg = _config(args)
         return COMMANDS[args.command](cfg)

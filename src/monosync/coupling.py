@@ -233,41 +233,59 @@ def monotone_tuples(index_poset: Poset, state_poset: Poset,
 
     Tuples align with ``index_poset.elements`` and come back sorted
     lexicographically by state index, so downstream pivoting and file
-    output are deterministic.
+    output are deterministic.  Indices are assigned along a minimal-first
+    linear extension by a depth-first search on an explicit stack, not by
+    recursion: an index may take the states at or above those of its
+    lower covers, which are all assigned before it.  Raises
+    :class:`SizeLimit` beyond ``cap``.
     """
-    idx_order = index_poset.elements
-    topo = index_poset.linear_order()
-    pos = {a: idx_order.index(a) for a in topo}
     states = state_poset.elements
-    found: list[tuple[str, ...]] = []
-    assignment: dict[str, str] = {}
+    above = [
+        tuple(j for j, t in enumerate(states) if state_poset.leq(s, t))
+        for s in states
+    ]
+    above_sets = [frozenset(a) for a in above]
+    every = tuple(range(len(states)))
+    topo = index_poset.linear_order()
+    n = len(topo)
+    # the lower covers of each index, as earlier positions in ``topo``
+    lower = []
+    for k, alpha in enumerate(topo):
+        below = [j for j in range(k) if index_poset.lt(topo[j], alpha)]
+        lower.append(tuple(
+            j for j in below
+            if not any(index_poset.lt(topo[j], topo[i]) for i in below)))
+    place = tuple(map(topo.index, index_poset.elements))
 
-    def extend(k: int) -> None:
-        if k == len(topo):
-            if len(found) >= cap:
+    found: list[tuple[int, ...]] = []
+    assign = [0] * n
+    stack: list = []  # stack[k] iterates the states left for position k
+    while True:
+        k = len(stack)
+        if k < n:
+            cover = lower[k]
+            if not cover:
+                cands = every
+            else:
+                cands = above[assign[cover[0]]]
+                if len(cover) > 1:
+                    rest = [above_sets[assign[j]] for j in cover[1:]]
+                    cands = [t for t in cands if all(t in r for r in rest)]
+            stack.append(iter(cands))
+        else:
+            found.append(tuple(map(assign.__getitem__, place)))
+            if len(found) > cap:
                 raise SizeLimit(f"more than {cap} monotone tuples")
-            found.append(tuple(assignment[a] for a in idx_order))
-            return
-        alpha = topo[k]
-        for s in states:
-            ok = True
-            for beta in topo[:k]:
-                t = assignment[beta]
-                if index_poset.leq(beta, alpha) and not state_poset.leq(t, s):
-                    ok = False
-                    break
-                if index_poset.leq(alpha, beta) and not state_poset.leq(s, t):
-                    ok = False
-                    break
-            if ok:
-                assignment[alpha] = s
-                extend(k + 1)
-                del assignment[alpha]
-
-    extend(0)
-    rank = {s: i for i, s in enumerate(states)}
-    found.sort(key=lambda tup: tuple(rank[s] for s in tup))
-    return tuple(found)
+        while stack:
+            t = next(stack[-1], None)
+            if t is not None:
+                assign[len(stack) - 1] = t
+                break
+            stack.pop()
+        else:
+            break
+    found.sort()
+    return tuple(tuple(map(states.__getitem__, f)) for f in found)
 
 
 @dataclass(frozen=True)

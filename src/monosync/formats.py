@@ -2,8 +2,11 @@
 
 All formats share the same skeleton: UTF-8, one directive per line,
 ``#`` starts a comment, blank lines ignored.  Rationals are serialized
-``p/q``.  Serializers emit a canonical form (stable element order,
-sorted covers and atoms) so outputs are byte-diffable.
+``p/q`` and parsed from ``p/q`` or an integer, either optionally signed.
+Serializers emit a canonical form (stable element order, sorted covers
+and atoms) so outputs are byte-diffable.  Parsers raise only
+:class:`MonosyncError`: a :class:`ParseError` naming the path and line
+for text that breaks a format, including bytes that are not UTF-8.
 
 System and kernel files reference their poset and measure files by
 path, resolved relative to the referencing file.
@@ -11,6 +14,7 @@ path, resolved relative to the referencing file.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -23,7 +27,7 @@ from .coupling import (
     measure_system,
 )
 from .errors import ParseError
-from .measure import RationalMeasure, rational_measure
+from .measure import RationalMeasure, rational_measure, shown
 from .poset import Poset, covers, validate_poset
 from .synchronize import CellPermutation
 
@@ -33,9 +37,15 @@ Lines = list[tuple[int, list[str]]]
 def _read_lines(path: Path) -> Lines:
     out: Lines = []
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
+        data = path.read_bytes()
+    except (OSError, ValueError) as e:  # ValueError: a NUL in the path
         raise ParseError(str(path), 0, f"cannot read file: {e}") from e
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        lineno = len((data[:e.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(str(path), lineno,
+                         f"not UTF-8: byte {data[e.start]:#04x}") from e
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -43,12 +53,28 @@ def _read_lines(path: Path) -> Lines:
     return out
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_NATURAL = re.compile(r"[0-9]+")
+
+
 def _fraction(path: Path, lineno: int, token: str) -> Fraction:
-    try:
-        value = Fraction(token)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ParseError(str(path), lineno, f"bad rational {token!r}") from e
-    return value
+    """An optionally signed integer or ``p/q``, the form serializers emit;
+    no decimals or exponents, whose expansion can be unboundedly large."""
+    if _RATIONAL.fullmatch(token):
+        try:
+            return Fraction(token)
+        except (ValueError, ZeroDivisionError):  # too many digits, q = 0
+            pass
+    raise ParseError(str(path), lineno, f"bad rational {token!r}")
+
+
+def _natural(path: Path, lineno: int, token: str, message: str) -> int:
+    if _NATURAL.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # too many digits
+            pass
+    raise ParseError(str(path), lineno, message)
 
 
 def _frac_str(value: Fraction) -> str:
@@ -236,7 +262,8 @@ def parse_coupling(path: str | Path,
         atoms[tup] = _fraction(path, lineno, frac)
     total = sum(atoms.values(), Fraction(0))
     if total != 1:
-        raise ParseError(str(path), 0, f"atom weights sum to {total}, not 1")
+        raise ParseError(str(path), 0,
+                         f"atom weights sum to {shown(total)}, not 1")
     return Coupling(tuple(index_order), atoms)
 
 
@@ -257,14 +284,13 @@ def parse_phi(path: str | Path) -> CellPermutation:
             (tok,) = _args(path, lineno, parts, 1)
             if L is not None:
                 raise ParseError(str(path), lineno, "duplicate cells line")
-            if not tok.isdigit() or int(tok) == 0:
+            L = _natural(path, lineno, tok, f"bad grid size {tok!r}")
+            if L == 0:
                 raise ParseError(str(path), lineno, f"bad grid size {tok!r}")
-            L = int(tok)
         elif parts[0] == "map":
             i_tok, j_tok = _args(path, lineno, parts, 2)
-            if not (i_tok.isdigit() and j_tok.isdigit()):
-                raise ParseError(str(path), lineno, "map arguments must be cells")
-            i, j = int(i_tok), int(j_tok)
+            i, j = (_natural(path, lineno, tok, "map arguments must be cells")
+                    for tok in (i_tok, j_tok))
             if i in images:
                 raise ParseError(str(path), lineno, f"duplicate map for cell {i}")
             images[i] = j
@@ -273,7 +299,9 @@ def parse_phi(path: str | Path) -> CellPermutation:
                              f"unknown directive {parts[0]!r}")
     if L is None:
         raise ParseError(str(path), 0, "missing cells line")
-    if set(images) != set(range(L)):
+    # the keys are distinct naturals, so this is ``set(images) == range(L)``
+    # without building a range as large as the declared grid
+    if len(images) != L or any(i >= L for i in images):
         raise ParseError(str(path), 0, "map lines do not cover every cell once")
     return CellPermutation(L, tuple(images[i] for i in range(L)))
 

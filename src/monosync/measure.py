@@ -32,7 +32,7 @@ class RationalMeasure:
                 raise InvalidMeasure(f"negative mass {m} at {x!r}")
             total += m
         if total != 1:
-            raise InvalidMeasure(f"masses sum to {total}, not 1")
+            raise InvalidMeasure(f"masses sum to {shown(total)}, not 1")
 
     def domain(self) -> tuple[str, ...]:
         return tuple(self.mass)
@@ -48,6 +48,15 @@ class RationalMeasure:
 
     def denominators(self) -> tuple[int, ...]:
         return tuple(m.denominator for m in self.mass.values())
+
+
+def shown(value: Fraction) -> str:
+    """``value`` for an error message.  A sum of parsed masses can have
+    more digits than ``str`` converts, and the message must not fail."""
+    try:
+        return str(value)
+    except ValueError:
+        return "a rational too long to print"
 
 
 def rational_measure(elements, masses: Mapping[str, Fraction | int | str],

@@ -268,31 +268,55 @@ def up_sets(poset: Poset, cap: int = DEFAULT_UPSET_CAP) -> tuple[frozenset[str],
 
     Elements are decided from the top of a linear extension downward; an
     element may join only if everything covering it is already in, so each
-    up-set is produced exactly once.  Raises :class:`SizeLimit` beyond ``cap``.
+    up-set is produced exactly once.  The sets are built level by level
+    on integer bitmasks, one level per decided element, without recursion:
+    each partial set is followed by itself without the element and then,
+    when allowed, with it, which is the order a depth-first search that
+    tries "exclude" before "include" would give.  Raises
+    :class:`SizeLimit` beyond ``cap``; excluding every remaining element
+    always completes a partial set, so no level is larger than the final
+    count and a level beyond ``cap`` already proves the count is.
     """
     order = poset.linear_order()
     graph = cover_graph(poset)
-    above = {
-        x: tuple(y for y in graph.neighbors(x) if poset.lt(x, y))
-        for x in poset.elements
-    }
-    found: list[frozenset[str]] = []
+    bit = {x: 1 << i for i, x in enumerate(order)}
+    level = [0]
+    for x in reversed(order):
+        if len(level) > cap:
+            break
+        need = 0
+        for y in graph.neighbors(x):
+            if poset.lt(x, y):
+                need |= bit[y]
+        own = bit[x]
+        nxt: list[int] = []
+        for s in level:
+            nxt.append(s)
+            if s & need == need:
+                nxt.append(s | own)
+        level = nxt
+    if len(level) > cap:
+        raise SizeLimit(f"more than {cap} up-sets")
+    # each set is the union of its two halves, each half decoded once
+    h = len(order) // 2
+    low = (1 << h) - 1
+    lows: dict[int, frozenset[str]] = {}
+    highs: dict[int, frozenset[str]] = {}
+    out: list[frozenset[str]] = []
+    for s in level:
+        lo, hi = s & low, s >> h
+        a = lows.get(lo)
+        if a is None:
+            a = lows[lo] = _members(order, lo)
+        b = highs.get(hi)
+        if b is None:
+            b = highs[hi] = _members(order[h:], hi)
+        out.append(a | b)
+    return tuple(out)
 
-    def extend(pos: int, current: set[str]) -> None:
-        if pos < 0:
-            if len(found) >= cap:
-                raise SizeLimit(f"more than {cap} up-sets")
-            found.append(frozenset(current))
-            return
-        x = order[pos]
-        extend(pos - 1, current)
-        if all(y in current for y in above[x]):
-            current.add(x)
-            extend(pos - 1, current)
-            current.remove(x)
 
-    extend(len(order) - 1, set())
-    return tuple(found)
+def _members(names: Sequence[str], mask: int) -> frozenset[str]:
+    return frozenset(x for i, x in enumerate(names) if mask >> i & 1)
 
 
 class PosetClass(enum.Enum):
@@ -427,13 +451,13 @@ def root_tree(poset: Poset, root: str,
         stray = next(iter(child_orderings))
         raise UnknownElement(f"child ordering given for non-branching {stray!r}")
 
-    tree = RootedTree(root, parent, children)
+    # post-order is the reverse of the pre-order that visits each
+    # children set last to first
     order: list[str] = []
-
-    def post(x: str) -> None:
-        for c in tree.children[x]:
-            post(c)
+    stack = [root]
+    while stack:
+        x = stack.pop()
         order.append(x)
-
-    post(root)
-    return tree, LinearExtension(tuple(order))
+        stack.extend(children[x])
+    order.reverse()
+    return RootedTree(root, parent, children), LinearExtension(tuple(order))

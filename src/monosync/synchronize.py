@@ -324,53 +324,44 @@ def locally_connected_spanning_tree(graph: InterlacingGraph, poset: Poset,
         (tuple(sorted(e, key=vrank.__getitem__)) for e in graph.edges),
         key=lambda e: (vrank[e[0]], vrank[e[1]]))
     examined = 0
-
-    def locally_connected(chosen: list[tuple[str, str]]) -> bool:
-        for d in principal:
-            inside = sum(1 for (u, v) in chosen if u in d and v in d)
-            if inside != len(d) - 1:
-                return False
-        return True
-
-    def find(root: str) -> str:
-        while parent[root] != root:
-            parent[root] = parent[parent[root]]
-            root = parent[root]
-        return root
-
+    # depth-first over edge subsets in index order, on an explicit stack:
+    # ``trail`` holds, per chosen edge, the next edge index to try and the
+    # union-find forest from before the edge was added
     parent = {v: v for v in vertices}
     chosen: list[tuple[str, str]] = []
-
-    def search(start: int) -> SpanningTreeWitness | None:
-        nonlocal examined
+    trail: list[tuple[int, dict[str, str]]] = []
+    k = 0
+    while True:
         if len(chosen) == n - 1:
             examined += 1
             if examined > cap:
                 raise SizeLimit(f"more than {cap} spanning trees examined")
-            if locally_connected(chosen):
+            if all(sum(1 for (u, v) in chosen if u in d and v in d)
+                   == len(d) - 1 for d in principal):
                 return SpanningTreeWitness(
                     side, vertices,
                     frozenset(frozenset(e) for e in chosen))
-            return None
-        if len(chosen) + (len(edge_list) - start) < n - 1:
-            return None
-        for k in range(start, len(edge_list)):
+        elif len(chosen) + (len(edge_list) - k) >= n - 1:
             u, v = edge_list[k]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                continue
-            saved = dict(parent)
-            parent[rv] = ru
-            chosen.append((u, v))
-            hit = search(k + 1)
-            if hit is not None:
-                return hit
-            chosen.pop()
-            parent.clear()
-            parent.update(saved)
-        return None
+            k += 1
+            ru, rv = _find(parent, u), _find(parent, v)
+            if ru != rv:
+                trail.append((k, dict(parent)))
+                parent[rv] = ru
+                chosen.append((u, v))
+            continue
+        if not trail:
+            return None
+        k, parent = trail.pop()
+        chosen.pop()
 
-    return search(0)
+
+def _find(parent: dict[str, str], x: str) -> str:
+    """Root of ``x`` in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def is_synchronizable(poset: Poset, cap: int = DEFAULT_TREE_CAP) -> bool:

@@ -1,8 +1,11 @@
 """End-to-end command-line runs, in process, against the shipped fixtures."""
 
+import gc
+
 import pytest
 
-from monosync.cli import main
+from monosync import cli
+from monosync.cli import build_parser, main
 from monosync.formats import (
     parse_certificate,
     parse_coupling,
@@ -182,3 +185,75 @@ def test_input_errors(capsys, data_dir, tmp_path):
                      "--system", str(data_dir / "w6.system"),
                      "--child-order", "w:z,v", "--out", str(tmp_path))
     assert rc == 2 and "bad --child-order" in err
+
+
+def test_non_utf8_file_is_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.poset"
+    bad.write_bytes(b"element a\nelement \xff\xfe\n")
+    rc, out, err = run(capsys, "classify", "--poset", str(bad))
+    assert rc == 2 and out == []
+    assert err == f"error: {bad}:2: not UTF-8: byte 0xff\n"
+
+
+def test_exponent_mass_is_input_error(capsys, data_dir, tmp_path):
+    # a decimal exponent expands to 10**5000; only p/q and integers parse
+    rows = tmp_path / "rows.measures"
+    rows.write_text("measure up\nmass lo 1e5000\nmeasure down\nmass lo 1\n")
+    (tmp_path / "big.system").write_text(
+        f"index {data_dir / 'pair.poset'}\n"
+        f"states {data_dir / 'chain2.poset'}\n"
+        "measures rows.measures\n"
+        "assign 1 down\n"
+        "assign 2 up\n")
+    rc, out, err = run(capsys, "check",
+                       "--system", str(tmp_path / "big.system"),
+                       "--out", str(tmp_path))
+    assert rc == 2 and out == []
+    assert err == f"error: {rows}:2: bad rational '1e5000'\n"
+
+
+def test_parser_is_reused_without_leaking_options(capsys, monkeypatch,
+                                                   data_dir):
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "synchronize", seen.append)
+    system = str(data_dir / "w6.system")
+    main(["synchronize", "--system", system, "--child-order", "w=z,v"])
+    main(["synchronize", "--system", system])
+    assert [cfg.child_orders for cfg in seen] == [{"w": ("z", "v")}, {}]
+
+    errs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as stop:
+            main(["check", "--cap-upsets", "x"])
+        assert stop.value.code == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] and "invalid int value" in errs[0]
+    assert build_parser() is not build_parser()
+
+
+def gc_commands(data_dir, out):
+    system = str(data_dir / "w6.system")
+    return {
+        "classify": ["classify", "--poset", str(data_dir / "w6.poset")],
+        "check": ["check", "--system", system, "--out", out],
+        "check-infeasible": [
+            "check", "--system", str(data_dir / "diamond_infeasible.system"),
+            "--out", out],
+        "synchronize": ["synchronize", "--system", system, "--out", out],
+        "cftp": ["cftp", "--kernel", str(data_dir / "chain2.kernel"),
+                 "--samples", "20", "--out", out],
+    }
+
+
+@pytest.mark.parametrize("name", ["classify", "check", "check-infeasible",
+                                  "synchronize", "cftp"])
+def test_commands_leave_no_cyclic_garbage(capsys, data_dir, tmp_path, name):
+    argv = gc_commands(data_dir, str(tmp_path))[name]
+    rc = main(argv)  # first run: lazy imports and per-process caches
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == rc
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

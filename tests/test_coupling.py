@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import SHOWCASE_ATOMS
 from monosync import coupling
 from monosync.coupling import (
+    DEFAULT_TUPLE_CAP,
     Coupling,
     InfeasibilityCertificate,
     check_coupling,
@@ -41,7 +42,7 @@ from monosync.generate import (
 )
 from monosync.linprog import FarkasVector, FeasiblePoint, solve_feasibility
 from monosync.measure import rational_measure
-from monosync.poset import chain, up_sets, validate_poset
+from monosync.poset import antichain, chain, up_sets, validate_poset
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -161,6 +162,72 @@ def test_monotone_tuples_match_bruteforce(seed):
 def test_monotone_tuples_cap(pair_poset, w6):
     with pytest.raises(SizeLimit):
         monotone_tuples(pair_poset, w6, cap=3)
+
+
+def recursive_monotone_tuples(index_poset, state_poset,
+                              cap=DEFAULT_TUPLE_CAP):
+    """The recursive enumeration that ``monotone_tuples`` replaced, kept
+    verbatim as the oracle for its order and its cap."""
+    idx_order = index_poset.elements
+    topo = index_poset.linear_order()
+    pos = {a: idx_order.index(a) for a in topo}
+    states = state_poset.elements
+    found: list[tuple[str, ...]] = []
+    assignment: dict[str, str] = {}
+
+    def extend(k: int) -> None:
+        if k == len(topo):
+            if len(found) >= cap:
+                raise SizeLimit(f"more than {cap} monotone tuples")
+            found.append(tuple(assignment[a] for a in idx_order))
+            return
+        alpha = topo[k]
+        for s in states:
+            ok = True
+            for beta in topo[:k]:
+                t = assignment[beta]
+                if index_poset.leq(beta, alpha) and not state_poset.leq(t, s):
+                    ok = False
+                    break
+                if index_poset.leq(alpha, beta) and not state_poset.leq(s, t):
+                    ok = False
+                    break
+            if ok:
+                assignment[alpha] = s
+                extend(k + 1)
+                del assignment[alpha]
+
+    extend(0)
+    rank = {s: i for i, s in enumerate(states)}
+    found.sort(key=lambda tup: tuple(rank[s] for s in tup))
+    return tuple(found)
+
+
+@given(seeds)
+def test_monotone_tuples_order_matches_recursive_oracle(seed):
+    rng = random.Random(seed)
+    A = random_poset(rng, rng.randrange(0, 5))
+    if rng.random() < 0.5:
+        S = random_poset(rng, rng.randrange(1, 7))
+    else:
+        S = random_bounded_poset(rng, rng.randrange(0, 4))
+    assert monotone_tuples(A, S) == recursive_monotone_tuples(A, S)
+
+
+@pytest.mark.parametrize("A, S", [
+    (antichain(()), chain(("a",))),
+    (chain(("1", "2")), chain(("a", "b", "c"))),
+    (antichain(("1", "2")), validate_poset(
+        ("bot", "a", "b", "top"),
+        [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")])),
+    (random_bounded_poset(random.Random(2), 2), random_class_w(
+        random.Random(7), 6)),
+])
+def test_monotone_tuples_cap_boundary(A, S):
+    count = len(recursive_monotone_tuples(A, S))
+    assert len(monotone_tuples(A, S, cap=count)) == count
+    with pytest.raises(SizeLimit, match=f"more than {count - 1} monotone"):
+        monotone_tuples(A, S, cap=count - 1)
 
 
 def test_realize_showcase_exact(w6_system):

@@ -1,11 +1,14 @@
 """Text formats: round trips against the shipped fixtures and error paths."""
 
+import random
+import shutil
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from monosync.coupling import InfeasibilityCertificate
-from monosync.errors import InvalidMeasure, ParseError
+from monosync.coupling import Coupling, InfeasibilityCertificate, realize
+from monosync.errors import InvalidMeasure, MonosyncError, ParseError
 from monosync.formats import (
     parse_certificate,
     parse_coupling,
@@ -22,10 +25,15 @@ from monosync.formats import (
     serialize_poset,
     serialize_system,
 )
-from monosync.poset import covers
-from monosync.synchronize import CellPermutation
+from monosync.generate import (
+    random_bounded_poset,
+    random_class_w,
+    random_monotone_system,
+)
+from monosync.poset import covers, default_root, root_tree
+from monosync.synchronize import CellPermutation, synchronize_from_coupling
 
-from conftest import PHI2_15, SHOWCASE_ATOMS, W6_COVERS
+from conftest import DATA_DIR, PHI2_15, SHOWCASE_ATOMS, W6_COVERS
 
 
 def test_poset_roundtrip(data_dir, w6, tmp_path):
@@ -143,6 +151,11 @@ def test_parse_errors(tmp_path, w6):
     m.write_text("measure p\nmass x 1/2\n")
     with pytest.raises(InvalidMeasure):
         parse_measures(m, w6)
+    # each mass fits the int-to-str digit limit, their sum does not
+    m.write_text("measure p\n" + "".join(
+        f"mass {x} 1/{d}{'0' * 2998}1\n" for x, d in zip("xyz", (1, 3, 7))))
+    with pytest.raises(InvalidMeasure, match="too long to print"):
+        parse_measures(m, w6)
 
     c = tmp_path / "bad.coupling"
     c.write_text("atom x,x 1/2\n")
@@ -172,3 +185,129 @@ def test_parse_errors(tmp_path, w6):
     s.write_text("states nope.poset\nmeasures nope.measures\nassign a p\n")
     with pytest.raises(ParseError, match="missing index"):
         parse_system(s)
+
+
+# per format: a canonical file to mutate, and its parser
+FUZZ = {
+    "poset": ((DATA_DIR / "w6.poset").read_text(), parse_poset),
+    "measures": ((DATA_DIR / "w6.measures").read_text(),
+                 lambda path: parse_measures(
+                     path, parse_poset(DATA_DIR / "w6.poset"))),
+    "system": ((DATA_DIR / "w6.system").read_text(), parse_system),
+    "kernel": ((DATA_DIR / "chain2.kernel").read_text(), parse_kernel),
+    "coupling": (serialize_coupling(Coupling(("1", "2"), SHOWCASE_ATOMS)),
+                 lambda path: parse_coupling(path, ("1", "2"))),
+    "phi": (serialize_phi(CellPermutation(15, PHI2_15)), parse_phi),
+    "certificate": ((DATA_DIR / "diamond_infeasible.cert").read_text(),
+                    parse_certificate),
+}
+
+TOKENS = st.one_of(
+    st.text("aex01/-+.,#\t\x00\u00b2\u00e9", max_size=6),
+    st.sampled_from((
+        "1e5000", "0/0", "1/3", "-2/5", "0", "9" * 30, "1" * 5000, "..",
+        "w6.poset", "w6.measures", "chain2.measures", "pair.poset",
+        "x", "z", "tau", "lo", "hi", "p1", "1", "2", "cells", "map", "gap")),
+)
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` with a few lines dropped, copied, inserted or retokenized."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(("insert", "drop", "copy", "token")))
+        if op == "insert" or i == len(lines):
+            lines.insert(i, " ".join(draw(st.lists(TOKENS, max_size=4))))
+        elif op == "drop":
+            del lines[i]
+        elif op == "copy":
+            lines.insert(i, lines[i])
+        else:
+            parts = lines[i].split(" ")
+            j = draw(st.integers(0, len(parts)))
+            parts[j:j + 1] = [draw(TOKENS)]
+            lines[i] = " ".join(parts)
+    return "\n".join(lines).encode()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A copy of data/, so that references in mutated files resolve."""
+    out = tmp_path_factory.mktemp("fuzz")
+    for f in DATA_DIR.iterdir():
+        shutil.copy(f, out / f.name)
+    return out
+
+
+@given(st.sampled_from(sorted(FUZZ)), st.data())
+@settings(max_examples=300)
+def test_parsers_raise_only_input_errors(fuzz_dir, kind, data):
+    base, parse = FUZZ[kind]
+    path = fuzz_dir / f"fuzz.{kind}"
+    path.write_bytes(data.draw(st.one_of(st.binary(max_size=300),
+                                         mutated(base))))
+    try:
+        parse(path)
+    except MonosyncError:  # the CLI's exit 2
+        pass
+
+
+def check_roundtrip(path, text, parse, serialize):
+    path.write_text(text)
+    assert serialize(parse(path)) == text
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_serialize_parse_is_identity_on_canonical_output(tmp_path, seed):
+    rng = random.Random(seed)
+    S = random_class_w(rng, 5 + seed % 3)
+    A = random_bounded_poset(rng, seed % 3)
+    system = random_monotone_system(rng, A, S, 6)
+    rows = random_monotone_system(rng, S, S, 6)
+    for name, poset in (("s.poset", S), ("i.poset", A)):
+        check_roundtrip(tmp_path / name, serialize_poset(poset),
+                        parse_poset, serialize_poset)
+    for name, measures in (("m.measures", system.measures),
+                           ("r.measures", rows.measures)):
+        check_roundtrip(tmp_path / name, serialize_measures(measures),
+                        lambda p: parse_measures(p, S), serialize_measures)
+    # a system or kernel file reads back as the posets and measures above
+    (tmp_path / "sys.system").write_text(serialize_system(
+        "i.poset", "s.poset", ["m.measures"], {a: a for a in A.elements}))
+    again = parse_system(tmp_path / "sys.system")
+    assert serialize_poset(again.index_poset) == serialize_poset(A)
+    assert serialize_poset(again.state_poset) == serialize_poset(S)
+    assert serialize_measures(again.measures) == serialize_measures(
+        system.measures)
+    (tmp_path / "k.kernel").write_text(serialize_kernel(
+        "s.poset", ["r.measures"], {x: x for x in S.elements}))
+    kern = parse_kernel(tmp_path / "k.kernel")
+    assert serialize_measures({x: kern.row(x) for x in S.elements}) == (
+        serialize_measures(rows.measures))
+
+    coupling = realize(system)
+    check_roundtrip(tmp_path / "c.coupling", serialize_coupling(coupling),
+                    lambda p: parse_coupling(p, A.elements),
+                    serialize_coupling)
+    _, extension = root_tree(S, default_root(S))
+    for alpha, phi in synchronize_from_coupling(
+            system, coupling, extension).items():
+        check_roundtrip(tmp_path / f"{alpha}.phi", serialize_phi(phi),
+                        parse_phi, serialize_phi)
+    perm = list(range(rng.randrange(1, 40)))
+    rng.shuffle(perm)
+    check_roundtrip(tmp_path / "r.phi",
+                    serialize_phi(CellPermutation(len(perm), tuple(perm))),
+                    parse_phi, serialize_phi)
+
+    # a certificate needs no feasibility to be written and read back
+    dual = {(a, x): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            for a in A.elements for x in S.elements if rng.random() < 0.5}
+    cert = InfeasibilityCertificate(dual, Fraction(rng.randint(1, 9), 7))
+    check_roundtrip(tmp_path / "r.cert", serialize_certificate(cert),
+                    parse_certificate, serialize_certificate)
+    infeasible = realize(parse_system(DATA_DIR / "diamond_infeasible.system"))
+    check_roundtrip(tmp_path / "d.cert", serialize_certificate(infeasible),
+                    parse_certificate, serialize_certificate)

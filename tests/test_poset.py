@@ -16,6 +16,7 @@ from monosync.errors import (
 )
 from monosync.generate import diamond, random_class_w, random_class_z, random_poset
 from monosync.poset import (
+    DEFAULT_UPSET_CAP,
     PosetClass,
     antichain,
     branching_elements,
@@ -155,6 +156,51 @@ def test_default_root_needs_a_leaf():
 def test_up_sets_cap():
     with pytest.raises(SizeLimit):
         up_sets(antichain(tuple("abcdefgh")), cap=10)
+
+
+def recursive_up_sets(poset, cap=DEFAULT_UPSET_CAP):
+    """The recursive enumeration that ``up_sets`` replaced, kept verbatim
+    as the oracle for its order and its cap."""
+    order = poset.linear_order()
+    graph = cover_graph(poset)
+    above = {
+        x: tuple(y for y in graph.neighbors(x) if poset.lt(x, y))
+        for x in poset.elements
+    }
+    found: list[frozenset[str]] = []
+
+    def extend(pos: int, current: set[str]) -> None:
+        if pos < 0:
+            if len(found) >= cap:
+                raise SizeLimit(f"more than {cap} up-sets")
+            found.append(frozenset(current))
+            return
+        x = order[pos]
+        extend(pos - 1, current)
+        if all(y in current for y in above[x]):
+            current.add(x)
+            extend(pos - 1, current)
+            current.remove(x)
+
+    extend(len(order) - 1, set())
+    return tuple(found)
+
+
+@given(seeds)
+def test_up_sets_order_matches_recursive_oracle(seed):
+    rng = random.Random(seed)
+    p = random_poset(rng, rng.randrange(0, 10))
+    assert up_sets(p) == recursive_up_sets(p)
+
+
+@pytest.mark.parametrize("poset", [
+    antichain(()), chain(("a",)), chain(tuple("abc")),
+    antichain(tuple("abcd")), diamond(), random_class_w(random.Random(5), 7)])
+def test_up_sets_cap_boundary(poset):
+    count = len(recursive_up_sets(poset))
+    assert len(up_sets(poset, cap=count)) == count
+    with pytest.raises(SizeLimit, match=f"more than {count - 1} up-sets"):
+        up_sets(poset, cap=count - 1)
 
 
 @given(seeds)
