@@ -11,12 +11,11 @@ stationary law, which a rational linear solve cross-checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from typing import Mapping
-
-from scipy.stats import chi2
 
 from .coupling import (
     DEFAULT_TUPLE_CAP,
@@ -329,7 +328,12 @@ def stationary_exact(kern: Kernel) -> RationalMeasure:
 
 def chi_square_fit(counts: Mapping[str, int],
                    target: RationalMeasure) -> tuple[float, float]:
-    """(statistic, p-value) of observed counts against a target law."""
+    """(statistic, p-value) of observed counts against a target law.
+
+    The only floating point in the package.  The p-value is the
+    chi-square upper tail of Pearson's statistic, with one degree of
+    freedom fewer than the target's support states (:func:`_chi2_sf`).
+    """
     n = sum(counts.values())
     stat = 0.0
     df = -1
@@ -342,4 +346,46 @@ def chi_square_fit(counts: Mapping[str, int],
         df += 1
     if df <= 0:
         return 0.0, 1.0
-    return stat, float(chi2.sf(stat, df))
+    return stat, _chi2_sf(stat, df)
+
+
+_HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
+
+
+def _log_poisson_term(a: float, h: float) -> float:
+    """``log(h**a * exp(-h) / Gamma(a + 1))`` for ``a >= 0`` and ``h > 0``.
+
+    The plain form subtracts logs of size ``a log a``, whose rounding
+    alone exceeds 1e-12 in a tail near ``h = a`` with ``a`` in the
+    thousands.  So from ``a = 30`` on, and for ``h >= a/2``, the form of
+    Loader (2000) is used: ``a log(h/a)`` through ``log1p`` and Stirling's
+    series for ``log Gamma(a + 1)``.  Below ``h = a/2`` the term is under
+    ``exp(-a/6)``, too small for that rounding to show.
+    """
+    if a < 30 or 2 * h < a:
+        return a * math.log(h) - h - math.lgamma(a + 1)
+    d = h - a
+    s = 1 / a
+    s2 = s * s
+    stirling = s * (1 / 12 - s2 * (1 / 360 - s2 * (1 / 1260 - s2 / 1680)))
+    return (a * math.log1p(d / a) - d - stirling
+            - _HALF_LOG_2PI - 0.5 * math.log(a))
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """Upper tail ``P(chi2_df > x)`` for an integer ``df >= 1``.
+
+    Abramowitz & Stegun (1964), 26.4.4-5, with ``h = x/2``: a sum of the
+    terms ``h**a e**-h / Gamma(a + 1)`` over ``a = 0, 1, ..., df/2 - 1``
+    for even ``df``, and ``erfc(sqrt h)`` plus the terms over
+    ``a = 1/2, 3/2, ..., df/2 - 1`` for odd ``df``.  Each term is built
+    in log space, so none overflows or underflows before it is summed.
+    """
+    h = x / 2
+    if h <= 0:  # also an x so small that x/2 rounds to zero
+        return 1.0
+    odd = df % 2
+    terms = [math.erfc(math.sqrt(h)) if odd else 0.0]
+    terms += (math.exp(_log_poisson_term(odd / 2 + k, h))
+              for k in range(df // 2))
+    return min(math.fsum(terms), 1.0)

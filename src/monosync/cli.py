@@ -36,6 +36,7 @@ from .errors import (
     SizeLimit,
 )
 from .formats import (
+    frac_str,
     parse_kernel,
     parse_poset,
     parse_system,
@@ -196,8 +197,7 @@ def cmd_cftp(cfg: JobConfig) -> int:
     for s in kern.state_poset.elements:
         print(f"count {s} {counts.get(s, 0)}")
     for s in kern.state_poset.elements:
-        pi = target.of(s)
-        print(f"stationary {s} {pi.numerator}/{pi.denominator}")
+        print(f"stationary {s} {frac_str(target.of(s))}")
     stat, pvalue = chi_square_fit(counts, target)
     print(f"chi_square {stat:.6f}")
     print(f"p_value {pvalue:.6f}")

@@ -15,6 +15,8 @@ path, resolved relative to the referencing file.
 from __future__ import annotations
 
 import re
+import stat
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -26,7 +28,7 @@ from .coupling import (
     MeasureSystem,
     measure_system,
 )
-from .errors import ParseError
+from .errors import ParseError, SizeLimit
 from .measure import RationalMeasure, rational_measure, shown
 from .poset import Poset, covers, validate_poset
 from .synchronize import CellPermutation
@@ -37,6 +39,9 @@ Lines = list[tuple[int, list[str]]]
 def _read_lines(path: Path) -> Lines:
     out: Lines = []
     try:
+        if not stat.S_ISREG(path.stat().st_mode):
+            # a FIFO blocks the read and a device need never end
+            raise ParseError(str(path), 0, "not a regular file")
         data = path.read_bytes()
     except (OSError, ValueError) as e:  # ValueError: a NUL in the path
         raise ParseError(str(path), 0, f"cannot read file: {e}") from e
@@ -77,8 +82,20 @@ def _natural(path: Path, lineno: int, token: str, message: str) -> int:
     raise ParseError(str(path), lineno, message)
 
 
-def _frac_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+def frac_str(value: Fraction) -> str:
+    """``value`` as ``p/q``, the form :func:`_fraction` reads back.
+
+    Raises :class:`SizeLimit` when ``p`` or ``q`` has more digits than the
+    interpreter converts to text (4,300 unless configured otherwise): the
+    parsers could not read such a number back either.
+    """
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as e:  # the int-to-str digit limit
+        raise SizeLimit(
+            f"a result has a number of more than "
+            f"{sys.get_int_max_str_digits()} digits, too long to print"
+        ) from e
 
 
 def _args(path: Path, lineno: int, parts: list[str], n: int) -> list[str]:
@@ -152,7 +169,7 @@ def serialize_measures(measures: Mapping[str, RationalMeasure],
         els = order if order is not None else measure.domain()
         for x in els:
             if measure.of(x) > 0:
-                lines.append(f"mass {x} {_frac_str(measure.of(x))}")
+                lines.append(f"mass {x} {frac_str(measure.of(x))}")
     return "\n".join(lines) + "\n"
 
 
@@ -269,7 +286,7 @@ def parse_coupling(path: str | Path,
 
 def serialize_coupling(coupling: Coupling) -> str:
     lines = [
-        f"atom {','.join(tup)} {_frac_str(w)}"
+        f"atom {','.join(tup)} {frac_str(w)}"
         for tup, w in sorted(coupling.atoms.items())
     ]
     return "\n".join(lines) + "\n"
@@ -338,8 +355,8 @@ def parse_certificate(path: str | Path) -> InfeasibilityCertificate:
 
 def serialize_certificate(certificate: InfeasibilityCertificate) -> str:
     lines = [
-        f"dual {alpha} {state} {_frac_str(w)}"
+        f"dual {alpha} {state} {frac_str(w)}"
         for (alpha, state), w in sorted(certificate.dual.items())
     ]
-    lines.append(f"gap {_frac_str(certificate.gap)}")
+    lines.append(f"gap {frac_str(certificate.gap)}")
     return "\n".join(lines) + "\n"

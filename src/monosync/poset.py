@@ -240,12 +240,8 @@ def cover_graph(poset: Poset) -> CoverGraph:
 
 def covers(poset: Poset) -> tuple[tuple[str, str], ...]:
     """Cover pairs ``(lower, upper)``, sorted lexicographically by name."""
-    out = []
-    for a, b in poset.relation:
-        if a != b and not any(
-                poset.lt(a, z) and poset.lt(z, b) for z in poset.elements):
-            out.append((a, b))
-    return tuple(sorted(out))
+    return tuple(sorted((a, b) if poset.lt(a, b) else (b, a)
+                        for a, b in cover_graph(poset).edges))
 
 
 def default_root(poset: Poset) -> str:

@@ -1,12 +1,14 @@
 """Shared fixtures: the six-element showcase poset with its measure pair,
 the two-state kernel, and hypothesis settings for the whole suite."""
 
+import os
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+import monosync
 from monosync.cftp import kernel
 from monosync.coupling import Coupling, measure_system
 from monosync.measure import rational_measure
@@ -22,6 +24,13 @@ settings.register_profile(
 settings.load_profile("suite")
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+
+
+def package_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(monosync.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 W6_ELEMENTS = ("x", "y", "z", "v", "w", "tau")
 # w sits below z, v, tau; x and y sit below z only

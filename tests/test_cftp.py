@@ -1,7 +1,10 @@
 """Grand couplings, perfect sampling, and the exact stationary law."""
 
 import hashlib
+import math
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -10,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from monosync.cftp import (
     GrandCoupling,
+    _chi2_sf,
     build_grand_coupling,
     check_grand_coupling,
     cftp_sample,
@@ -34,6 +38,8 @@ from monosync.measure import rational_measure
 from monosync.poset import chain, default_root, root_tree, validate_poset
 from monosync.rng import CellSampler
 from monosync.synchronize import Violation, cell_states
+
+from conftest import package_env
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -264,6 +270,46 @@ def test_chain2_stationary_and_fit(chain2_kernel):
     assert pi.of("lo") == Fraction(1, 2) and pi.of("hi") == Fraction(1, 2)
     stat, p = chi_square_fit({"lo": 500, "hi": 500}, pi)
     assert stat == 0.0 and p == 1.0
+
+
+def test_package_import_loads_no_scipy():
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, monosync; print(sorted(m for m in sys.modules "
+         "if m.partition('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=package_env(), timeout=60,
+        check=True)
+    assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("x", [1e-300, 1e-9, 0.25, 1.0, 3.5, 20.0, 150.0,
+                               1500.0])
+def test_chi2_sf_closed_forms(x):
+    assert _chi2_sf(x, 2) == math.exp(-x / 2)
+    assert _chi2_sf(x, 1) == math.erfc(math.sqrt(x / 2))
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 60, 5000])
+def test_chi2_sf_at_and_below_zero(df):
+    assert _chi2_sf(0.0, df) == 1.0
+    assert _chi2_sf(-3.0, df) == 1.0
+
+
+def test_chi2_sf_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    rng = random.Random(20261018)
+    grid = [(df, x) for df in range(1, 61)
+            for x in [0.0, 1e-12, 1e-3, *(rng.uniform(0, 4 * df + 60)
+                                          for _ in range(30)),
+                      *(math.exp(rng.uniform(-25, 7)) for _ in range(10))]]
+    for df in [61, 99, 100, 999, 1000, 4999, 5000,
+               *(rng.randrange(61, 5001) for _ in range(40))]:
+        # near the mean, where the tail is neither 0 nor 1
+        grid += [(df, max(0.0, df + z * math.sqrt(2 * df)))
+                 for z in (-8, -3, -1, -0.1, 0, 0.1, 1, 3, 8)]
+    worst = max(abs(_chi2_sf(x, df) - float(stats.chi2.sf(x, df)))
+                for df, x in grid)
+    assert worst <= 1e-12
 
 
 @given(seeds)

@@ -1,6 +1,9 @@
 """End-to-end command-line runs, in process, against the shipped fixtures."""
 
 import gc
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -15,7 +18,7 @@ from monosync.formats import (
 )
 from monosync.measure import rational_measure
 
-from conftest import IDENTITY_15, PHI2_15, SHOWCASE_ATOMS
+from conftest import IDENTITY_15, PHI2_15, SHOWCASE_ATOMS, package_env
 
 
 def run(capsys, *argv):
@@ -210,6 +213,42 @@ def test_exponent_mass_is_input_error(capsys, data_dir, tmp_path):
                        "--out", str(tmp_path))
     assert rc == 2 and out == []
     assert err == f"error: {rows}:2: bad rational '1e5000'\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_fifo_is_input_error(tmp_path):
+    # a fresh process with a timeout: a read that blocks fails here
+    # instead of hanging the suite
+    fifo = tmp_path / "pipe.poset"
+    os.mkfifo(fifo)
+    done = subprocess.run(
+        [sys.executable, "-m", "monosync.cli", "classify", "--poset", str(fifo)],
+        capture_output=True, text=True, env=package_env(), timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == f"error: {fifo}:0: not a regular file\n"
+
+
+def test_result_too_long_to_print_is_cap(capsys, data_dir, tmp_path):
+    # 3,000-digit masses parse, but the coupling's weights have about
+    # 6,000 digits, more than int-to-str converts
+    n1, n2 = 10**2999 + 1, 10**2999 + 3
+    (tmp_path / "rows.measures").write_text(
+        f"measure a\nmass lo {n1 - 1}/{n1}\nmass hi 1/{n1}\n"
+        f"measure b\nmass lo 1/{n2}\nmass hi {n2 - 1}/{n2}\n")
+    (tmp_path / "long.system").write_text(
+        f"index {data_dir / 'pair.poset'}\n"
+        f"states {data_dir / 'chain2.poset'}\n"
+        "measures rows.measures\n"
+        "assign 1 a\n"
+        "assign 2 b\n")
+    rc, out, err = run(capsys, "check",
+                       "--system", str(tmp_path / "long.system"),
+                       "--out", str(tmp_path))
+    assert rc == 3
+    assert out == ["stochastically monotone", "realizable", "atoms 3"]
+    assert err.startswith("resource cap: ") and err.count("\n") == 1
+    assert "digits" in err
+    assert not (tmp_path / "coupling.txt").exists()
 
 
 def test_parser_is_reused_without_leaking_options(capsys, monkeypatch,

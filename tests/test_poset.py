@@ -225,6 +225,21 @@ def test_strict_pairs_match_definition(seed):
     assert p.strict_pairs() is p.strict_pairs()  # computed once per poset
 
 
+def scanned_covers(poset):
+    """Cover pairs by a scan of the relation, the former ``covers``."""
+    return tuple(sorted(
+        (a, b) for a, b in poset.relation
+        if a != b and not any(poset.lt(a, z) and poset.lt(z, b)
+                              for z in poset.elements)))
+
+
+@given(seeds)
+def test_covers_match_relation_scan(seed):
+    rng = random.Random(seed)
+    p = random_poset(rng, rng.randrange(0, 9))
+    assert covers(p) == scanned_covers(p)
+
+
 @given(seeds)
 def test_dual_involution(seed):
     rng = random.Random(seed)
