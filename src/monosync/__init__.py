@@ -20,6 +20,7 @@ from .coupling import (
     Verdict,
     check_coupling,
     dominance_violation,
+    integer_transport,
     is_stoch_monotone,
     measure_system,
     monotone_tuples,
@@ -57,6 +58,7 @@ from .synchronize import (
     check_cell_tables,
     common_grid,
     composed_tables,
+    glued_tables,
     identity_synchronization,
     interlacing_graphs,
     is_synchronizable,

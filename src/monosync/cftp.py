@@ -46,6 +46,7 @@ from .rng import CellSampler
 from .synchronize import (
     check_cell_tables,
     composed_tables,
+    glued_tables,
     identity_synchronization,
     synchronize_from_coupling,
 )
@@ -133,43 +134,64 @@ def build_grand_coupling(kern: Kernel,
                          ) -> GrandCoupling | InfeasibilityCertificate:
     """Construct a monotone update table for a stochastically monotone kernel.
 
-    One route for every state poset: fix a linear extension (the rooted
-    one when the cover graph is a tree, else the poset's own linear
-    order), synchronize the rows (the identity on a path cover graph,
-    else cells of a coupling from the realization oracle), and read the
-    table off the composed transforms.  The oracle returns an exact
-    infeasibility certificate when no monotone table exists.  The table
-    is re-checked before it is returned.
+    The rows, read as a measure system, are indexed by the state poset
+    itself, and its cover graph picks one of three routes:
+
+    * a path (class Z): the raw inverse transforms along the rooted
+      extension are already ordered (identity synchronization);
+    * any other tree (classes W and BY): the rows are glued along the
+      rooted cover tree by integer transports of cell counts
+      (:func:`glued_tables`), with no tuple enumeration and no LP;
+    * a cycle or several components: the realization oracle's coupling
+      is turned into cells along the poset's own linear order; the
+      oracle returns an exact infeasibility certificate when no monotone
+      table exists, and ``cap`` bounds its tuple enumeration.
+
+    A kernel that is not stochastically monotone raises
+    :class:`NotStochMonotone` with the witness of
+    :func:`is_stoch_monotone`; a grid beyond ``MAX_GRID_CELLS`` raises
+    :class:`SizeLimit`.  The table is re-checked before it is returned.
     """
     system = kern.to_system()
-    verdict = is_stoch_monotone(system)
-    if not verdict:
-        alpha, beta, upset = verdict.witness
-        raise NotStochMonotone(
-            f"row at {alpha!r} is not dominated by row at {beta!r}",
-            alpha, beta, upset)
-
     poset = kern.state_poset
     shape = classify(poset)
     if shape is PosetClass.NON_ACYCLIC_OR_DISCONNECTED:
+        _require_stoch_monotone(system)
         extension = LinearExtension(poset.linear_order())
-    else:
-        _, extension = root_tree(poset, default_root(poset))
-    if shape is PosetClass.Z:
-        phis = identity_synchronization(system)
-    else:
         result = realize(system, cap)
         if isinstance(result, InfeasibilityCertificate):
             return result
         phis = synchronize_from_coupling(system, result, extension)
+        L, update = composed_tables(system, phis, extension)
+    else:
+        tree, extension = root_tree(poset, default_root(poset))
+        if shape is PosetClass.Z:
+            _require_stoch_monotone(system)
+            phis = identity_synchronization(system)
+            L, update = composed_tables(system, phis, extension)
+        else:
+            glued = glued_tables(system, tree, extension)
+            if glued is None:  # some cover pair is not dominated
+                _require_stoch_monotone(system)
+                raise ContractViolation(
+                    "gluing failed on a monotone kernel", "glue")
+            L, update = glued
 
-    L, update = composed_tables(system, phis, extension)
     gc = GrandCoupling(L, poset, update)
     checked = check_grand_coupling(kern, gc)
     if not checked:
         raise ContractViolation("update table breaks its contract",
                                 checked.witness)
     return gc
+
+
+def _require_stoch_monotone(system: MeasureSystem) -> None:
+    verdict = is_stoch_monotone(system)
+    if not verdict:
+        alpha, beta, upset = verdict.witness
+        raise NotStochMonotone(
+            f"row at {alpha!r} is not dominated by row at {beta!r}",
+            alpha, beta, upset)
 
 
 def _reachable(support: Mapping[str, frozenset[str]], start: str,

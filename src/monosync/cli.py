@@ -234,7 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cftp.add_argument("--seed", type=int, default=0)
     p_cftp.add_argument("--samples", type=int, default=1)
     p_cftp.add_argument("--out", default=".")
-    p_cftp.add_argument("--cap-tuples", type=int, default=DEFAULT_TUPLE_CAP)
+    p_cftp.add_argument(
+        "--cap-tuples", type=int, default=DEFAULT_TUPLE_CAP,
+        help="most monotone tuples the LP route may enumerate; only a "
+             "state poset whose cover graph has a cycle or several "
+             "components takes that route")
     p_cftp.add_argument("--cap-epochs", type=int, default=DEFAULT_MAX_EPOCH)
 
     return parser

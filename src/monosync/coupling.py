@@ -3,7 +3,7 @@
 Three layers, all exact:
 
 * pairwise dominance, decided by enumerating up-sets or, independently,
-  by a rational max-flow (Strassen's characterization: dominance holds
+  by an integer max-flow (Strassen's characterization: dominance holds
   iff a coupling concentrated on ordered pairs exists);
 * systems of measures over an index poset, with a witness-producing
   monotonicity check;
@@ -17,12 +17,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import ContractViolation, DomainMismatch, SizeLimit
 from .linprog import FarkasVector, integral, solve_feasibility
-from .measure import F0, F1, RationalMeasure
-from .poset import DEFAULT_UPSET_CAP, Poset, chain, up_sets
+from .measure import F0, RationalMeasure
+from .poset import DEFAULT_UPSET_CAP, Poset, chain, covers, up_sets
 
 DEFAULT_TUPLE_CAP = 10**6
 
@@ -124,42 +124,42 @@ def stochastically_leq(p1: RationalMeasure, p2: RationalMeasure,
     return dominance_violation(p1, p2, poset, cap) is None
 
 
-def strassen_coupling(p1: RationalMeasure, p2: RationalMeasure,
-                      poset: Poset) -> Coupling | None:
-    """A coupling supported on ``{(a, b): a <= b}``, or None if not dominated.
+def integer_transport(supply: Sequence[int], demand: Sequence[int],
+                      arcs: Sequence[tuple[int, int]],
+                      ) -> dict[tuple[int, int], int] | None:
+    """Move integer ``supply[i]`` onto ``demand[j]`` along the allowed
+    ``arcs`` ``(i, j)``; None when not every unit can be moved.
 
-    Bipartite max-flow with rational capacities: source -> a at mass
-    ``p1(a)``, b -> sink at mass ``p2(b)``, and an uncapacitated arc
-    ``a -> b`` for every ordered pair.  The flow value reaches one
-    exactly when dominance holds; breadth-first augmentation keeps the
-    arithmetic exact and terminates regardless of denominators.
+    Bipartite max-flow: source -> i at capacity ``supply[i]``, j -> sink
+    at ``demand[j]``, and an arc i -> j for every allowed pair whose
+    capacity, the total supply, never binds.  Breadth-first augmentation
+    on integers, so the flow is exact and the run terminates.  Returns the
+    positive flow of each arc, in the order of ``arcs``.
     """
-    els = poset.elements
-    n = len(els)
-    source, sink = 2 * n, 2 * n + 1
-    cap: dict[tuple[int, int], Fraction] = {}
-    for i, a in enumerate(els):
-        if p1.of(a) > 0:
-            cap[(source, i)] = p1.of(a)
-    for j, b in enumerate(els):
-        if p2.of(b) > 0:
-            cap[(n + j, sink)] = p2.of(b)
-    for i, a in enumerate(els):
-        for j, b in enumerate(els):
-            if poset.leq(a, b):
-                cap[(i, n + j)] = F1  # never binding: total supply is 1
+    n = len(supply)
+    source, sink = n + len(demand), n + len(demand) + 1
+    total = sum(supply)
+    cap: dict[tuple[int, int], int] = {}
+    for i, c in enumerate(supply):
+        if c > 0:
+            cap[(source, i)] = c
+    for j, c in enumerate(demand):
+        if c > 0:
+            cap[(n + j, sink)] = c
+    for i, j in arcs:
+        cap[(i, n + j)] = total
     adj: dict[int, list[int]] = {}
     for (u, v) in cap:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    flow: dict[tuple[int, int], Fraction] = {e: F0 for e in cap}
+    flow: dict[tuple[int, int], int] = dict.fromkeys(cap, 0)
 
-    def residual(u: int, v: int) -> Fraction:
+    def residual(u: int, v: int) -> int:
         if (u, v) in cap:
             return cap[(u, v)] - flow[(u, v)]
-        return flow.get((v, u), F0)
+        return flow.get((v, u), 0)
 
-    value = F0
+    value = 0
     while True:
         prev: dict[int, int] = {source: source}
         queue = deque([source])
@@ -185,24 +185,41 @@ def strassen_coupling(p1: RationalMeasure, p2: RationalMeasure,
                 flow[(v, u)] -= bottleneck
         value += bottleneck
 
-    if value != 1:
+    if value != total or total != sum(demand):
         return None
-    atoms = {
-        (els[i], els[j - n]): f
-        for (i, j), f in flow.items()
-        if i < n and n <= j < 2 * n and f > 0
-    }
-    return Coupling(PAIR_INDICES, atoms)
+    return {(i, j): f for (i, j) in arcs if (f := flow[(i, n + j)]) > 0}
+
+
+def strassen_coupling(p1: RationalMeasure, p2: RationalMeasure,
+                      poset: Poset) -> Coupling | None:
+    """A coupling supported on ``{(a, b): a <= b}``, or None if not dominated.
+
+    The masses of both measures are put over one common denominator and
+    moved by :func:`integer_transport` along every ordered pair; the
+    flow value reaches the whole supply exactly when dominance holds.
+    """
+    els = poset.elements
+    n = len(els)
+    scale, ints = integral([p.of(x) for p in (p1, p2) for x in els])
+    arcs = [(i, j) for i, a in enumerate(els) for j, b in enumerate(els)
+            if poset.leq(a, b)]
+    flow = integer_transport(ints[:n], ints[n:], arcs)
+    if flow is None:
+        return None
+    return Coupling(PAIR_INDICES, {
+        (els[i], els[j]): Fraction(f, scale) for (i, j), f in flow.items()})
 
 
 def is_stoch_monotone(system: MeasureSystem,
                       cap: int = DEFAULT_UPSET_CAP) -> Verdict:
     """Check every comparable index pair for stochastic dominance.
 
-    The witness on failure is ``(alpha, beta, up_set)`` with
-    ``alpha < beta`` but ``P_alpha(U) > P_beta(U)``: the first one in
-    pair order, then up-set order.  Each ``P_alpha(U)`` is summed once,
-    on first use, as an integer numerator over the lcm of all the
+    The verdict is decided on the cover pairs of the index poset, which
+    is exact because dominance is transitive.  The witness on failure is
+    ``(alpha, beta, up_set)`` with ``alpha < beta`` but
+    ``P_alpha(U) > P_beta(U)``: the first one in pair order, then up-set
+    order, over every comparable pair.  Each ``P_alpha(U)`` is summed
+    once, on first use, as an integer numerator over the lcm of all the
     system's masses, and shared by every pair that contains ``alpha``.
     """
     upsets = up_sets(system.state_poset, cap)
@@ -211,19 +228,25 @@ def is_stoch_monotone(system: MeasureSystem,
         [system.measure_of(a) for a in indices])))
     masses: dict[str, list[int | None]] = {
         a: [None] * len(upsets) for a in indices}
-    for alpha, beta in system.index_poset.strict_pairs():
-        na, nb = numer[alpha].__getitem__, numer[beta].__getitem__
-        ma, mb = masses[alpha], masses[beta]
-        for k, u in enumerate(upsets):
-            a = ma[k]
-            if a is None:
-                a = ma[k] = sum(map(na, u))
-            b = mb[k]
-            if b is None:
-                b = mb[k] = sum(map(nb, u))
-            if a > b:
-                return Verdict(False, (alpha, beta, u))
-    return Verdict(True)
+
+    def violations(pairs):
+        for alpha, beta in pairs:
+            na, nb = numer[alpha].__getitem__, numer[beta].__getitem__
+            ma, mb = masses[alpha], masses[beta]
+            for k, u in enumerate(upsets):
+                a = ma[k]
+                if a is None:
+                    a = ma[k] = sum(map(na, u))
+                b = mb[k]
+                if b is None:
+                    b = mb[k] = sum(map(nb, u))
+                if a > b:
+                    yield alpha, beta, u
+                    break
+
+    if next(violations(covers(system.index_poset)), None) is None:
+        return Verdict(True)
+    return Verdict(False, next(violations(system.index_poset.strict_pairs())))
 
 
 def monotone_tuples(index_poset: Poset, state_poset: Poset,

@@ -75,6 +75,21 @@ class Poset:
         out.sort(key=lambda p: (self._index[p[0]], self._index[p[1]]))
         return tuple(out)
 
+    @cached_property
+    def _cover_graph(self) -> CoverGraph:
+        above: dict[str, list[str]] = {x: [] for x in self.elements}
+        for a, b in self.relation:
+            if a != b:
+                above[a].append(b)
+        edges = set()
+        for a, ups in above.items():
+            for b in ups:
+                if any((z, b) in self.relation for z in ups if z != b):
+                    continue
+                i, j = self._index[a], self._index[b]
+                edges.add((a, b) if i < j else (b, a))
+        return CoverGraph(self.elements, frozenset(edges))
+
     def minimal(self) -> tuple[str, ...]:
         return self._minimal
 
@@ -226,16 +241,9 @@ class CoverGraph:
 
 
 def cover_graph(poset: Poset) -> CoverGraph:
-    """Edge ``{x, y}`` present iff one covers the other (nothing strictly between)."""
-    edges = set()
-    for a, b in poset.relation:
-        if a == b:
-            continue
-        if any(poset.lt(a, z) and poset.lt(z, b) for z in poset.elements):
-            continue
-        i, j = poset.index(a), poset.index(b)
-        edges.add((a, b) if i < j else (b, a))
-    return CoverGraph(poset.elements, frozenset(edges))
+    """Edge ``{x, y}`` present iff one covers the other (nothing strictly
+    between).  Computed once per poset and cached on it."""
+    return poset._cover_graph
 
 
 def covers(poset: Poset) -> tuple[tuple[str, str], ...]:

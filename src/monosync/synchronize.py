@@ -3,7 +3,10 @@
 A synchronizing family reorders the uniform seed ahead of each inverse
 transform so that the composed maps are pointwise ordered.  With rational
 masses everything lives on a common grid of L equal cells, and each
-reordering is a cell permutation (hence preserves the uniform law).
+reordering is a cell permutation (hence preserves the uniform law).  When
+the index poset's cover graph is a tree, the cell tables can instead be
+glued edge by edge from integer transports of cell counts, with no
+coupling at all.
 
 The second half of the module decides whether an index poset admits the
 construction at all: build the two interlacing graphs on its extremal
@@ -12,12 +15,13 @@ elements and search for locally connected spanning trees.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Mapping
 
-from .coupling import Coupling, MeasureSystem, Verdict
+from .coupling import Coupling, MeasureSystem, Verdict, integer_transport
 from .errors import (
     ContractViolation,
     DomainMismatch,
@@ -25,10 +29,15 @@ from .errors import (
     InfeasibleInput,
     SizeLimit,
 )
+from .linprog import integral
 from .measure import RationalMeasure
-from .poset import LinearExtension, Poset
+from .poset import LinearExtension, Poset, RootedTree, covers
 
 DEFAULT_TREE_CAP = 10**5
+# far above the grids of the data/ fixtures, the tests and the benchmark
+# inputs (at most 16 cells); a table holds one state per cell and index,
+# so a larger grid is refused before any per-cell object is built
+MAX_GRID_CELLS = 10**6
 
 
 @dataclass(frozen=True)
@@ -69,16 +78,34 @@ def common_grid(*objects) -> int:
     return lcm(*denoms) if denoms else 1
 
 
+def bounded_grid(L: int) -> int:
+    """``L`` itself, or :class:`SizeLimit` when it has more than
+    :data:`MAX_GRID_CELLS` cells; called before any per-cell object is
+    built."""
+    if L > MAX_GRID_CELLS:
+        raise SizeLimit(f"grid of more than {MAX_GRID_CELLS} cells")
+    return L
+
+
+def cell_counts(measure: RationalMeasure, L: int) -> dict[str, int]:
+    """The number of grid cells of each state, mass times ``L``, in
+    integers; :class:`GridMismatch` when a mass is not a multiple of 1/L."""
+    scale, ints = integral(list(measure.mass.values()))
+    if L % scale:
+        x = next(x for x, m in measure.mass.items() if L % m.denominator)
+        raise GridMismatch(
+            f"mass {measure.of(x)} of {x!r} is not a multiple of 1/{L}")
+    k = L // scale
+    return {x: n * k for x, n in zip(measure.mass, ints)}
+
+
 def cell_states(measure: RationalMeasure, extension: LinearExtension,
                 L: int) -> tuple[str, ...]:
     """The inverse transform evaluated on each of the L grid cells."""
+    counts = cell_counts(measure, L)
     out: list[str] = []
     for x in extension.order:
-        n = measure.of(x) * L
-        if n.denominator != 1:
-            raise GridMismatch(
-                f"mass {measure.of(x)} of {x!r} is not a multiple of 1/{L}")
-        out.extend([x] * int(n))
+        out.extend([x] * counts[x])
     return tuple(out)
 
 
@@ -86,9 +113,52 @@ def identity_synchronization(system: MeasureSystem,
                              L: int | None = None,
                              ) -> dict[str, CellPermutation]:
     """The trivial family: every index keeps the raw inverse transform."""
-    if L is None:
-        L = common_grid(system)
+    L = bounded_grid(common_grid(system) if L is None else L)
     return {a: CellPermutation.identity(L) for a in system.index_poset.elements}
+
+
+def glued_tables(system: MeasureSystem, tree: RootedTree,
+                 extension: LinearExtension,
+                 ) -> tuple[int, dict[str, tuple[str, ...]]] | None:
+    """Cell tables glued along the cover tree of the index poset, or None
+    when the measures of some cover pair are not ordered.
+
+    The root's row is its inverse transform along ``extension``.  Each
+    child's row comes from an integer transport of the parent's cell
+    counts onto the child's (to states at or above, across an upward
+    cover; at or below, across a downward one): the parent's cells of a
+    state, in cell order, take the transport's targets of that state in
+    its order.  So every cover pair is ordered on every cell and has the
+    right counts, and, the order being transitive and every comparable
+    pair joined by covers along the tree, so is every comparable pair
+    (Strassen 1965; Fill & Machida 2001).  The grid is the common grid
+    of the system.
+    """
+    L = bounded_grid(common_grid(system))
+    A, S = system.index_poset, system.state_poset
+    states = S.elements
+    counts = {a: cell_counts(system.measure_of(a), L) for a in A.elements}
+    pairs = [(i, j) for i in range(len(states)) for j in range(len(states))]
+    up = [(i, j) for i, j in pairs if S.leq(states[i], states[j])]
+    down = [(i, j) for i, j in pairs if S.leq(states[j], states[i])]
+    tables = {tree.root: cell_states(system.measure_of(tree.root),
+                                     extension, L)}
+    stack = [tree.root]
+    while stack:
+        x = stack.pop()
+        supply = [counts[x][s] for s in states]
+        for c in tree.children[x]:
+            flow = integer_transport(supply, [counts[c][s] for s in states],
+                                     up if A.lt(x, c) else down)
+            if flow is None:
+                return None
+            given: dict[str, list[str]] = {s: [] for s in states}
+            for (i, j), f in flow.items():
+                given[states[i]] += [states[j]] * f
+            handout = {s: iter(t) for s, t in given.items()}
+            tables[c] = tuple(next(handout[s]) for s in tables[x])
+            stack.append(c)
+    return L, tables
 
 
 def synchronize_from_coupling(system: MeasureSystem, coupling: Coupling,
@@ -107,8 +177,7 @@ def synchronize_from_coupling(system: MeasureSystem, coupling: Coupling,
     """
     if coupling.index_order != system.index_poset.elements:
         raise DomainMismatch("coupling indices do not match the system")
-    if L is None:
-        L = common_grid(system, coupling)
+    L = bounded_grid(common_grid(system, coupling) if L is None else L)
     for alpha in coupling.index_order:
         want = system.measure_of(alpha)
         got = coupling.marginal(alpha)
@@ -121,16 +190,12 @@ def synchronize_from_coupling(system: MeasureSystem, coupling: Coupling,
     pointer: dict[str, dict[str, int]] = {}
     fence: dict[str, dict[str, int]] = {}
     for alpha in coupling.index_order:
-        measure = system.measure_of(alpha)
+        counts = cell_counts(system.measure_of(alpha), L)
         acc = 0
         pointer[alpha], fence[alpha] = {}, {}
         for x in extension.order:
-            n = measure.of(x) * L
-            if n.denominator != 1:
-                raise GridMismatch(
-                    f"grid of {L} cells cannot carry mass {measure.of(x)}")
             pointer[alpha][x] = acc
-            acc += int(n)
+            acc += counts[x]
             fence[alpha][x] = acc
 
     def rank_key(tup: tuple[str, ...]) -> tuple[int, ...]:
@@ -207,18 +272,23 @@ def check_cell_tables(system: MeasureSystem, L: int,
 
     Counts: the row of each index must give every state exactly mass
     times L cells; the witness is ``("counts", index, state)``.  Order:
-    no cell may map a comparable index pair out of order; the witness is
-    the first :class:`Violation` scanned cell by cell.
+    no cell may map a comparable index pair out of order.  That is
+    decided on the cover pairs of the index poset, which is exact
+    because the state order is transitive; the witness is the first
+    :class:`Violation` over every comparable pair, scanned cell by cell.
     """
     for alpha in system.index_poset.elements:
-        counts: dict[str, int] = {}
-        for s in tables[alpha]:
-            counts[s] = counts.get(s, 0) + 1
+        counts = Counter(tables[alpha])
+        mass = system.measure_of(alpha).mass
         for s in system.state_poset.elements:
-            if counts.get(s, 0) != system.measure_of(alpha).of(s) * L:
+            m = mass[s]
+            if counts[s] * m.denominator != m.numerator * L:
                 return Verdict(False, ("counts", alpha, s))
-    first = next(_violations(system, L, tables), None)
-    return Verdict(True) if first is None else Verdict(False, first)
+    leq = system.state_poset.leq
+    if all(all(map(leq, tables[a][:L], tables[b][:L]))
+           for a, b in covers(system.index_poset)):
+        return Verdict(True)
+    return Verdict(False, next(_violations(system, L, tables)))
 
 
 def synchronization_violations(system: MeasureSystem,

@@ -23,7 +23,13 @@ from monosync.cftp import (
     sample_many,
     stationary_exact,
 )
-from monosync.coupling import InfeasibilityCertificate, verify_certificate
+from monosync import coupling
+from monosync.coupling import (
+    InfeasibilityCertificate,
+    is_stoch_monotone,
+    realize,
+    verify_certificate,
+)
 from monosync.errors import (
     BudgetExceeded,
     ContractViolation,
@@ -31,13 +37,33 @@ from monosync.errors import (
     GridMismatch,
     NotErgodic,
     NotStochMonotone,
+    SizeLimit,
 )
 from monosync.formats import parse_system
-from monosync.generate import diamond, random_measure
+from monosync.generate import (
+    diamond,
+    element_labels,
+    random_class_w,
+    random_measure,
+    random_monotone_system,
+    random_tree_edges,
+)
 from monosync.measure import rational_measure
-from monosync.poset import chain, default_root, root_tree, validate_poset
+from monosync.poset import (
+    PosetClass,
+    chain,
+    classify,
+    default_root,
+    root_tree,
+    validate_poset,
+)
 from monosync.rng import CellSampler
-from monosync.synchronize import Violation, cell_states
+from monosync.synchronize import (
+    MAX_GRID_CELLS,
+    Violation,
+    cell_states,
+    common_grid,
+)
 
 from conftest import package_env
 
@@ -124,7 +150,11 @@ def test_monotone_kernel_without_monotone_table(data_dir):
     assert verify_certificate(kern.to_system(), got)
 
 
-def test_w6_mixture_kernel_routes_through_synchronization(w6):
+def refuse(*args, **kwargs):
+    raise AssertionError("the LP route ran")
+
+
+def test_w6_mixture_kernel_routes_through_gluing(w6, monkeypatch):
     # half stay put, half jump uniformly: monotone and ergodic
     rows = {
         s: rational_measure(
@@ -134,7 +164,9 @@ def test_w6_mixture_kernel_routes_through_synchronization(w6):
         for s in W6_ELEMENTS
     }
     kern = kernel(w6, rows)
-    gc = build_grand_coupling(kern)
+    monkeypatch.setattr(coupling, "monotone_tuples", refuse)
+    monkeypatch.setattr(coupling, "solve_feasibility", refuse)
+    gc = build_grand_coupling(kern, cap=1)
     assert isinstance(gc, GrandCoupling) and gc.L == 12
     assert check_grand_coupling(kern, gc)
     pi = stationary_exact(kern)
@@ -167,6 +199,62 @@ def test_grand_coupling_beyond_class_w(poset, L):
     assert check_grand_coupling(kern, gc)
     draws = sample_many(gc, seed=2, n=40)
     assert len(draws) == 40 and set(draws) <= set(poset.elements)
+
+
+def random_class_by(rng, n):
+    """A random orientation of a random tree whose cover graph has an
+    interior branching element (class BY)."""
+    labels = element_labels(n)
+    while True:
+        poset = validate_poset(labels, [
+            (labels[u], labels[v]) if rng.random() < 0.5
+            else (labels[v], labels[u])
+            for u, v in random_tree_edges(rng, n)])
+        if classify(poset) is PosetClass.BY:
+            return poset
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("shape", ["W", "BY"])
+@pytest.mark.parametrize("rows", ["mixture", "random"])
+def test_glued_tables_against_the_lp(monkeypatch, n, shape, rows):
+    rng = random.Random(f"{shape}-{n}-{rows}")
+    S = random_class_w(rng, n) if shape == "W" else random_class_by(rng, n)
+    assert classify(S).value == shape
+    kern = (half_stay_half_uniform(S) if rows == "mixture" else kernel(
+        S, random_monotone_system(rng, S, S, rng.randrange(2, 7)).measures))
+    system = kern.to_system()
+    with monkeypatch.context() as m:
+        m.setattr(coupling, "monotone_tuples", refuse)
+        gc = build_grand_coupling(kern)
+    assert isinstance(gc, GrandCoupling)
+    assert gc.L == common_grid(system)
+    assert check_grand_coupling(kern, gc)
+    if n <= 7:  # at n = 8 the LP takes up to half a minute
+        assert not isinstance(realize(system), InfeasibilityCertificate)
+
+
+def test_glued_route_refuses_a_non_monotone_kernel(w6):
+    # z covers w, but the row at w sits on tau, which is not below z,
+    # where the row at z sits: gluing fails on that cover, and the
+    # witness is the one the scan of every pair gives
+    rows = {s: rational_measure(W6_ELEMENTS, {s: 1}) for s in W6_ELEMENTS}
+    rows["w"] = rational_measure(W6_ELEMENTS, {"tau": 1})
+    kern = kernel(w6, rows)
+    with pytest.raises(NotStochMonotone) as err:
+        build_grand_coupling(kern)
+    verdict = is_stoch_monotone(kern.to_system())
+    assert not verdict and err.value.args[1:] == verdict.witness
+
+
+def test_grid_bound_comes_before_the_cells(w6):
+    # a W kernel whose common grid has one cell too many
+    L = MAX_GRID_CELLS + 1
+    row = rational_measure(W6_ELEMENTS, {"x": Fraction(1, L),
+                                         "tau": 1 - Fraction(1, L)})
+    kern = kernel(w6, {s: row for s in W6_ELEMENTS})
+    with pytest.raises(SizeLimit, match="grid of more than"):
+        build_grand_coupling(kern)
 
 
 def test_identical_rows_coalesce_in_one_step(chain2):
@@ -232,12 +320,13 @@ def w6_shifted_mixture(w6):
         for s in W6_ELEMENTS})
 
 
-# digests of the draws as first recorded; the stream must not move
+# digests of the draws as first recorded; the stream must not move.  The
+# w6 digest is that of the table glued along the cover tree.
 @pytest.mark.parametrize("name, seed, n, digest", [
     ("walk16", 17, 400,
      "fd9766e50bb53591769132e81d3a553d5dedd85cc8473ba81104e4750a94e615"),
     ("w6", 23, 600,
-     "045fe5082f191561e9e150d88f59da1d570f93f149a3873fbd68034fc3d8a931"),
+     "6d7fa2241d4021c843998a723230bb12d16e716d7a94279aad5e76c26c9c68ce"),
 ])
 def test_sample_many_stream_pinned(w6, name, seed, n, digest):
     kern = lazy_walk_16() if name == "walk16" else w6_shifted_mixture(w6)
@@ -245,6 +334,8 @@ def test_sample_many_stream_pinned(w6, name, seed, n, digest):
     assert check_grand_coupling(kern, gc)
     draws = sample_many(gc, seed=seed, n=n)
     assert hashlib.sha256(" ".join(draws).encode()).hexdigest() == digest
+    _, p = chi_square_fit(Counter(draws), stationary_exact(kern))
+    assert p > 0.001
 
 
 def test_ergodicity_verdicts(chain2):

@@ -228,9 +228,9 @@ def test_fifo_is_input_error(tmp_path):
     assert done.stderr == f"error: {fifo}:0: not a regular file\n"
 
 
-def test_result_too_long_to_print_is_cap(capsys, data_dir, tmp_path):
-    # 3,000-digit masses parse, but the coupling's weights have about
-    # 6,000 digits, more than int-to-str converts
+def write_long_pair(data_dir, tmp_path):
+    """A pair system and a kernel on chain2 whose rows are ordered and
+    have 3,000-digit coprime denominators."""
     n1, n2 = 10**2999 + 1, 10**2999 + 3
     (tmp_path / "rows.measures").write_text(
         f"measure a\nmass lo {n1 - 1}/{n1}\nmass hi 1/{n1}\n"
@@ -241,6 +241,17 @@ def test_result_too_long_to_print_is_cap(capsys, data_dir, tmp_path):
         "measures rows.measures\n"
         "assign 1 a\n"
         "assign 2 b\n")
+    (tmp_path / "long.kernel").write_text(
+        f"states {data_dir / 'chain2.poset'}\n"
+        "measures rows.measures\n"
+        "assign lo a\n"
+        "assign hi b\n")
+
+
+def test_result_too_long_to_print_is_cap(capsys, data_dir, tmp_path):
+    # 3,000-digit masses parse, but the coupling's weights have about
+    # 6,000 digits, more than int-to-str converts
+    write_long_pair(data_dir, tmp_path)
     rc, out, err = run(capsys, "check",
                        "--system", str(tmp_path / "long.system"),
                        "--out", str(tmp_path))
@@ -249,6 +260,21 @@ def test_result_too_long_to_print_is_cap(capsys, data_dir, tmp_path):
     assert err.startswith("resource cap: ") and err.count("\n") == 1
     assert "digits" in err
     assert not (tmp_path / "coupling.txt").exists()
+
+
+@pytest.mark.parametrize("command, option, name", [
+    ("synchronize", "--system", "long.system"),
+    ("cftp", "--kernel", "long.kernel"),
+])
+def test_grid_too_large_is_cap(capsys, data_dir, tmp_path, command, option,
+                               name):
+    # the common grid has about 6,000 digits: refused before any cell
+    write_long_pair(data_dir, tmp_path)
+    rc, out, err = run(capsys, command, option, str(tmp_path / name),
+                       "--out", str(tmp_path))
+    assert rc == 3 and out == []
+    assert err == "resource cap: grid of more than 1000000 cells\n"
+    assert list(tmp_path.glob("*.svg")) == []
 
 
 def test_parser_is_reused_without_leaking_options(capsys, monkeypatch,

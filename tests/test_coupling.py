@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from conftest import SHOWCASE_ATOMS
 from monosync import coupling
 from monosync.coupling import (
     DEFAULT_TUPLE_CAP,
+    PAIR_INDICES,
     Coupling,
     InfeasibilityCertificate,
     check_coupling,
@@ -33,6 +35,7 @@ from monosync.formats import (
     serialize_coupling,
 )
 from monosync.generate import (
+    diamond,
     random_bounded_poset,
     random_class_w,
     random_measure,
@@ -41,7 +44,7 @@ from monosync.generate import (
     up_moves,
 )
 from monosync.linprog import FarkasVector, FeasiblePoint, solve_feasibility
-from monosync.measure import rational_measure
+from monosync.measure import F0, F1, rational_measure
 from monosync.poset import antichain, chain, up_sets, validate_poset
 
 seeds = st.integers(0, 2**32 - 1)
@@ -85,6 +88,88 @@ def test_strassen_diagonal(p1, w6):
     assert got.atoms == {(s, s): p1.of(s) for s in p1.support()}
 
 
+def fraction_strassen_coupling(p1, p2, poset):
+    """The rational max-flow that strassen_coupling once ran, verbatim."""
+    els = poset.elements
+    n = len(els)
+    source, sink = 2 * n, 2 * n + 1
+    cap: dict[tuple[int, int], Fraction] = {}
+    for i, a in enumerate(els):
+        if p1.of(a) > 0:
+            cap[(source, i)] = p1.of(a)
+    for j, b in enumerate(els):
+        if p2.of(b) > 0:
+            cap[(n + j, sink)] = p2.of(b)
+    for i, a in enumerate(els):
+        for j, b in enumerate(els):
+            if poset.leq(a, b):
+                cap[(i, n + j)] = F1  # never binding: total supply is 1
+    adj: dict[int, list[int]] = {}
+    for (u, v) in cap:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    flow: dict[tuple[int, int], Fraction] = {e: F0 for e in cap}
+
+    def residual(u: int, v: int) -> Fraction:
+        if (u, v) in cap:
+            return cap[(u, v)] - flow[(u, v)]
+        return flow.get((v, u), F0)
+
+    value = F0
+    while True:
+        prev: dict[int, int] = {source: source}
+        queue = deque([source])
+        while queue and sink not in prev:
+            u = queue.popleft()
+            for v in adj.get(u, ()):
+                if v not in prev and residual(u, v) > 0:
+                    prev[v] = u
+                    queue.append(v)
+        if sink not in prev:
+            break
+        path = [sink]
+        while path[-1] != source:
+            path.append(prev[path[-1]])
+        path.reverse()
+        bottleneck = min(
+            residual(path[k], path[k + 1]) for k in range(len(path) - 1))
+        for k in range(len(path) - 1):
+            u, v = path[k], path[k + 1]
+            if (u, v) in cap:
+                flow[(u, v)] += bottleneck
+            else:
+                flow[(v, u)] -= bottleneck
+        value += bottleneck
+
+    if value != 1:
+        return None
+    atoms = {
+        (els[i], els[j - n]): f
+        for (i, j), f in flow.items()
+        if i < n and n <= j < 2 * n and f > 0
+    }
+    return Coupling(PAIR_INDICES, atoms)
+
+
+@given(seeds)
+@settings(max_examples=120)
+def test_strassen_matches_the_fraction_flow(seed):
+    rng = random.Random(seed)
+    poset = random_poset(rng, rng.randrange(1, 8))
+    p = random_measure(rng, poset, rng.randrange(1, 13))
+    q = random_measure(rng, poset, rng.randrange(1, 13))
+    if rng.random() < 0.5:  # a dominated pair, often on two grids
+        D = 12 * rng.randrange(1, 4)
+        q = up_moves(rng, p, poset, rng.randrange(0, 20), D)
+    got = strassen_coupling(p, q, poset)
+    want = fraction_strassen_coupling(p, q, poset)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got.index_order == want.index_order
+        assert list(got.atoms.items()) == list(want.atoms.items())
+
+
 @given(seeds)
 @settings(max_examples=120)
 def test_strassen_iff_upset_dominance(seed):
@@ -125,11 +210,21 @@ def brute_stoch_monotone_witness(system):
     return None
 
 
+def kite():
+    """The diamond with a peak above its top: its cover graph has a cycle."""
+    return validate_poset(
+        ("bot", "a", "b", "top", "peak"),
+        [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top"),
+         ("top", "peak")])
+
+
 @given(seeds)
 @settings(max_examples=60)
 def test_is_stoch_monotone_matches_bruteforce(seed):
     rng = random.Random(seed)
-    index = random_poset(rng, rng.randrange(2, 5), rng.uniform(0.4, 1))
+    shape = rng.randrange(4)  # cyclic cover graphs next to random ones
+    index = (diamond() if shape == 0 else kite() if shape == 1 else
+             random_poset(rng, rng.randrange(2, 5), rng.uniform(0.4, 1)))
     states = random_poset(rng, rng.randrange(2, 5))
     D = rng.randrange(1, 6)
     measures = dict(random_monotone_system(rng, index, states, D).measures)
@@ -338,7 +433,7 @@ def class_w_pair(seed):
     return pair_system(p1, up_moves(rng, p1, S, 24, 12), S)
 
 
-def farkas_mixture(data_dir, seed, kite):
+def farkas_mixture(data_dir, seed, on_kite):
     """(1 - e) P + e Q for the infeasible diamond system P and a seeded
     monotone Q, with the largest e in a fixed list that keeps the data/
     certificate's gap positive; on the kite the top state gets no mass."""
@@ -350,12 +445,7 @@ def farkas_mixture(data_dir, seed, kite):
               for (a, s), w in cert.dual.items()), Fraction(0))
     e = max(x for x in (Fraction(1, 20), Fraction(1, 10), Fraction(1, 5),
                         Fraction(1, 3)) if (1 - x) * cert.gap + x * yq > 0)
-    states = D
-    if kite:
-        states = validate_poset(
-            ("bot", "a", "b", "top", "peak"),
-            [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top"),
-             ("top", "peak")])
+    states = kite() if on_kite else D
     return measure_system(D, states, {
         a: rational_measure(states.elements, {
             s: (1 - e) * base.measure_of(a).of(s) + e * Q.measure_of(a).of(s)
@@ -370,7 +460,7 @@ def pinned_systems(data_dir, w6):
     for seed in range(6):
         yield class_w_pair(seed)
     for seed in range(4):
-        yield farkas_mixture(data_dir, seed, kite=seed % 2 == 1)
+        yield farkas_mixture(data_dir, seed, on_kite=seed % 2 == 1)
 
 
 # digest of every realize output as first recorded; the LP's pivot path,

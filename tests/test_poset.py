@@ -92,6 +92,7 @@ def test_cover_graph_w6(w6):
     assert g.degree("z") == 3 and g.degree("x") == 1
     assert set(g.leaves()) == {"x", "y", "v", "tau"}
     assert g.is_connected() and g.is_tree() and not g.is_path()
+    assert cover_graph(w6) is g  # computed once per poset
 
 
 def test_root_tree_w6(w6):

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import IDENTITY_15, PHI2_15
-from monosync.coupling import Coupling, realize, strassen_coupling
+from monosync.coupling import (
+    Coupling,
+    is_stoch_monotone,
+    measure_system,
+    realize,
+    strassen_coupling,
+)
 from monosync.errors import (
     DomainMismatch,
     GridMismatch,
@@ -16,17 +22,29 @@ from monosync.errors import (
 )
 from monosync.generate import (
     diamond,
+    element_labels,
     random_bounded_poset,
     random_class_w,
+    random_measure,
     random_monotone_system,
+    random_poset,
+    random_tree_edges,
 )
 from monosync.measure import rational_measure
-from monosync.poset import chain, default_root, root_tree, validate_poset
+from monosync.poset import (
+    LinearExtension,
+    chain,
+    default_root,
+    root_tree,
+    validate_poset,
+)
 from monosync.synchronize import (
     CellPermutation,
     Violation,
     cell_states,
+    check_cell_tables,
     common_grid,
+    glued_tables,
     identity_synchronization,
     interlacing_graphs,
     is_synchronizable,
@@ -186,3 +204,92 @@ def test_synchronize_from_strassen(p1, p2, w6, psi, pair_poset):
     coupling = strassen_coupling(p1, p2, w6)
     phis = synchronize_from_coupling(system, coupling, psi)
     assert verify_synchronized(system, phis, psi)
+
+
+def random_tree_poset(rng, n):
+    """A random orientation of a random tree on n elements."""
+    labels = element_labels(n, "i")
+    return validate_poset(labels, [
+        (labels[u], labels[v]) if rng.random() < 0.5
+        else (labels[v], labels[u])
+        for u, v in random_tree_edges(rng, n)])
+
+
+def random_states(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return diamond()
+    if kind == 1:
+        return random_class_w(rng, rng.randrange(4, 7))
+    return random_poset(rng, rng.randrange(1, 6))
+
+
+@given(seeds)
+@settings(max_examples=120)
+def test_glued_tables_on_tree_index_posets(seed):
+    rng = random.Random(seed)
+    A = random_tree_poset(rng, rng.randrange(1, 7))
+    S = random_states(rng)
+    system = random_monotone_system(rng, A, S, rng.randrange(1, 7))
+    if rng.random() < 0.3:  # often no longer monotone
+        measures = dict(system.measures)
+        alpha = rng.choice(A.elements)
+        measures[alpha] = random_measure(rng, S, rng.randrange(1, 7))
+        system = measure_system(A, S, measures)
+    tree, _ = root_tree(A, default_root(A))
+    got = glued_tables(system, tree, LinearExtension(S.linear_order()))
+    if not is_stoch_monotone(system):
+        assert got is None
+        return
+    L, tables = got
+    assert L == common_grid(system)
+    assert check_cell_tables(system, L, tables)
+
+
+def all_pairs_verdict(system, L, tables):
+    """check_cell_tables' contract, by a scan of every index pair."""
+    A, S = system.index_poset, system.state_poset
+    for alpha in A.elements:
+        for s in S.elements:
+            if (sum(1 for t in tables[alpha] if t == s)
+                    != system.measure_of(alpha).of(s) * L):
+                return ("counts", alpha, s)
+    for i in range(L):
+        for alpha in A.elements:
+            for beta in A.elements:
+                a, b = tables[alpha][i], tables[beta][i]
+                if A.lt(alpha, beta) and not S.leq(a, b):
+                    return Violation(i, alpha, beta, a, b)
+    return None
+
+
+@given(seeds)
+@settings(max_examples=120)
+def test_check_cell_tables_matches_all_pairs_scan(seed):
+    rng = random.Random(seed)
+    kind = rng.randrange(4)
+    A = (diamond() if kind == 0 else random_tree_poset(rng, 5) if kind == 1
+         else random_poset(rng, rng.randrange(1, 5)))
+    S = random_states(rng)
+    system = random_monotone_system(rng, A, S, rng.randrange(1, 7))
+    L = common_grid(system)
+    if kind == 1 and rng.random() < 0.7:
+        tree, _ = root_tree(A, default_root(A))
+        _, tables = glued_tables(system, tree, LinearExtension(S.linear_order()))
+    else:  # raw inverse transforms: often out of order
+        ext = LinearExtension(S.linear_order())
+        tables = {a: cell_states(system.measure_of(a), ext, L)
+                  for a in A.elements}
+    tables = {a: list(row) for a, row in tables.items()}
+    for _ in range(rng.randrange(3)):  # corrupt: swap two cells of a row
+        row = tables[rng.choice(A.elements)]
+        i, j = rng.randrange(L), rng.randrange(L)
+        row[i], row[j] = row[j], row[i]
+    if rng.random() < 0.2:  # or break the counts
+        tables[rng.choice(A.elements)][rng.randrange(L)] = rng.choice(
+            S.elements)
+    tables = {a: tuple(row) for a, row in tables.items()}
+    verdict = check_cell_tables(system, L, tables)
+    want = all_pairs_verdict(system, L, tables)
+    assert bool(verdict) == (want is None)
+    assert verdict.witness == want
