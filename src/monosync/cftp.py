@@ -138,7 +138,9 @@ def build_grand_coupling(kern: Kernel,
     itself, and its cover graph picks one of three routes:
 
     * a path (class Z): the raw inverse transforms along the rooted
-      extension are already ordered (identity synchronization);
+      extension are already ordered (identity synchronization) when the
+      kernel is stochastically monotone, so the table is built first and
+      the up-sets are scanned only when its check fails;
     * any other tree (classes W and BY): the rows are glued along the
       rooted cover tree by integer transports of cell counts
       (:func:`glued_tables`), with no tuple enumeration and no LP;
@@ -166,7 +168,6 @@ def build_grand_coupling(kern: Kernel,
     else:
         tree, extension = root_tree(poset, default_root(poset))
         if shape is PosetClass.Z:
-            _require_stoch_monotone(system)
             phis = identity_synchronization(system)
             L, update = composed_tables(system, phis, extension)
         else:
@@ -180,6 +181,8 @@ def build_grand_coupling(kern: Kernel,
     gc = GrandCoupling(L, poset, update)
     checked = check_grand_coupling(kern, gc)
     if not checked:
+        if shape is PosetClass.Z:  # fails only on a non-monotone kernel
+            _require_stoch_monotone(system)
         raise ContractViolation("update table breaks its contract",
                                 checked.witness)
     return gc

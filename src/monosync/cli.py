@@ -47,7 +47,6 @@ from .formats import (
 from .poset import DEFAULT_UPSET_CAP, classify, covers, default_root, root_tree
 from .svg import svg_bands, svg_permutation
 from .synchronize import (
-    DEFAULT_TREE_CAP,
     identity_synchronization,
     is_synchronizable,
     synchronization_violations,
@@ -76,12 +75,10 @@ class JobConfig:
     samples: int = 1
     cap_upsets: int = DEFAULT_UPSET_CAP
     cap_tuples: int = DEFAULT_TUPLE_CAP
-    cap_trees: int = DEFAULT_TREE_CAP
     cap_epochs: int = DEFAULT_MAX_EPOCH
 
     def __post_init__(self):
-        for name in ("samples", "cap_upsets", "cap_tuples", "cap_trees",
-                     "cap_epochs"):
+        for name in ("samples", "cap_upsets", "cap_tuples", "cap_epochs"):
             if getattr(self, name) <= 0:
                 raise MonosyncError(f"{name.replace('_', '-')} must be positive")
 
@@ -105,13 +102,21 @@ def _write(cfg: JobConfig, name: str, text: str) -> Path:
     return target
 
 
+def _not_realizable(cfg: JobConfig, cert: InfeasibilityCertificate) -> int:
+    """Report an infeasible system and write its certificate."""
+    print("not realizable")
+    target = _write(cfg, "certificate.txt", serialize_certificate(cert))
+    print(f"certificate {target}")
+    return EXIT_FALSE
+
+
 def cmd_classify(cfg: JobConfig) -> int:
     poset = parse_poset(cfg.poset)
     print(f"elements {len(poset)}")
     for a, b in covers(poset):
         print(f"cover {a} {b}")
     print(f"class {classify(poset).value}")
-    sync = is_synchronizable(poset, cfg.cap_trees)
+    sync = is_synchronizable(poset)
     print(f"synchronizable {'true' if sync else 'false'}")
     return EXIT_OK
 
@@ -127,10 +132,7 @@ def cmd_check(cfg: JobConfig) -> int:
     print("stochastically monotone")
     result = realize(system, cfg.cap_tuples)
     if isinstance(result, InfeasibilityCertificate):
-        print("not realizable")
-        target = _write(cfg, "certificate.txt", serialize_certificate(result))
-        print(f"certificate {target}")
-        return EXIT_FALSE
+        return _not_realizable(cfg, result)
     print("realizable")
     print(f"atoms {len(result.atoms)}")
     target = _write(cfg, "coupling.txt", serialize_coupling(result))
@@ -151,10 +153,7 @@ def cmd_synchronize(cfg: JobConfig) -> int:
 
     result = realize(system, cfg.cap_tuples)
     if isinstance(result, InfeasibilityCertificate):
-        print("not realizable")
-        target = _write(cfg, "certificate.txt", serialize_certificate(result))
-        print(f"certificate {target}")
-        return EXIT_FALSE
+        return _not_realizable(cfg, result)
     phis = synchronize_from_coupling(system, result, extension)
     for alpha, phi in phis.items():
         print(f"phi {alpha} {_write(cfg, f'phi_{alpha}.txt', serialize_phi(phi))}")
@@ -178,10 +177,7 @@ def cmd_cftp(cfg: JobConfig) -> int:
         print(f"witness {e.args[1]} {e.args[2]} {','.join(sorted(e.args[3]))}")
         return EXIT_FALSE
     if isinstance(built, InfeasibilityCertificate):
-        print("not realizable")
-        target = _write(cfg, "certificate.txt", serialize_certificate(built))
-        print(f"certificate {target}")
-        return EXIT_FALSE
+        return _not_realizable(cfg, built)
     try:
         draws = sample_many(built, cfg.seed, cfg.samples, cfg.cap_epochs)
     except NotErgodic as e:
@@ -213,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="classify a poset file")
     p_classify.add_argument("--poset", required=True)
-    p_classify.add_argument("--cap-trees", type=int, default=DEFAULT_TREE_CAP)
 
     p_check = sub.add_parser("check", help="monotonicity and realizability")
     p_check.add_argument("--system", required=True)
@@ -257,7 +252,6 @@ def _config(args: argparse.Namespace) -> JobConfig:
         "samples": getattr(args, "samples", 1),
         "cap_upsets": getattr(args, "cap_upsets", DEFAULT_UPSET_CAP),
         "cap_tuples": getattr(args, "cap_tuples", DEFAULT_TUPLE_CAP),
-        "cap_trees": getattr(args, "cap_trees", DEFAULT_TREE_CAP),
         "cap_epochs": getattr(args, "cap_epochs", DEFAULT_MAX_EPOCH),
     }
     return JobConfig(**fields)

@@ -10,7 +10,8 @@ coupling at all.
 
 The second half of the module decides whether an index poset admits the
 construction at all: build the two interlacing graphs on its extremal
-elements and search for locally connected spanning trees.
+elements and look for locally connected spanning trees, each decided by
+one maximum-weight spanning tree.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from typing import Mapping
 
@@ -33,7 +35,6 @@ from .linprog import integral
 from .measure import RationalMeasure
 from .poset import LinearExtension, Poset, RootedTree, covers
 
-DEFAULT_TREE_CAP = 10**5
 # far above the grids of the data/ fixtures, the tests and the benchmark
 # inputs (at most 16 cells); a table holds one state per cell and index,
 # so a larger grid is refused before any per-cell object is built
@@ -110,10 +111,9 @@ def cell_states(measure: RationalMeasure, extension: LinearExtension,
 
 
 def identity_synchronization(system: MeasureSystem,
-                             L: int | None = None,
                              ) -> dict[str, CellPermutation]:
     """The trivial family: every index keeps the raw inverse transform."""
-    L = bounded_grid(common_grid(system) if L is None else L)
+    L = bounded_grid(common_grid(system))
     return {a: CellPermutation.identity(L) for a in system.index_poset.elements}
 
 
@@ -163,7 +163,6 @@ def glued_tables(system: MeasureSystem, tree: RootedTree,
 
 def synchronize_from_coupling(system: MeasureSystem, coupling: Coupling,
                               extension: LinearExtension,
-                              L: int | None = None,
                               ) -> dict[str, CellPermutation]:
     """Turn a monotone coupling into one cell permutation per index.
 
@@ -177,7 +176,7 @@ def synchronize_from_coupling(system: MeasureSystem, coupling: Coupling,
     """
     if coupling.index_order != system.index_poset.elements:
         raise DomainMismatch("coupling indices do not match the system")
-    L = bounded_grid(common_grid(system, coupling) if L is None else L)
+    L = bounded_grid(common_grid(system, coupling))
     for alpha in coupling.index_order:
         want = system.measure_of(alpha)
         got = coupling.marginal(alpha)
@@ -318,21 +317,6 @@ class InterlacingGraph:
     def degree(self, v: str) -> int:
         return sum(1 for e in self.edges if v in e)
 
-    def is_connected(self) -> bool:
-        if len(self.vertices) <= 1:
-            return True
-        seen = {self.vertices[0]}
-        frontier = [self.vertices[0]]
-        while frontier:
-            u = frontier.pop()
-            for e in self.edges:
-                if u in e:
-                    (v,) = e - {u}
-                    if v not in seen:
-                        seen.add(v)
-                        frontier.append(v)
-        return len(seen) == len(self.vertices)
-
 
 def _interlacing(poset: Poset) -> InterlacingGraph:
     mins = poset.minimal()
@@ -361,69 +345,61 @@ class SpanningTreeWitness:
 
 def locally_connected_spanning_tree(graph: InterlacingGraph, poset: Poset,
                                     side: str = "minimal",
-                                    cap: int = DEFAULT_TREE_CAP,
                                     ) -> SpanningTreeWitness | None:
-    """Search the spanning trees of ``graph`` for a locally connected one.
+    """A locally connected spanning tree of ``graph``, or None when there
+    is none.
 
     Local connectivity: for every element of the poset, the tree edges
     among the extremal elements below it (above it, on the maximal side)
-    must connect them.  Backtracking is exhaustive, so ``None`` is a
-    proof of absence; the cap bounds the number of complete trees
-    examined.
+    must connect them.  Weigh each edge by the number of distinct such
+    principal sets ``D`` (``|D| >= 2``) holding both its ends.  A
+    spanning tree induces a forest on each ``D``, so its weight is at
+    most the sum of ``|D| - 1``, with equality exactly when every ``D``
+    is connected.  A maximum-weight spanning tree (Kruskal, heaviest
+    edge first, ties in vertex-rank order) therefore decides the
+    question: it is the witness when it spans and reaches the bound,
+    and otherwise no witness exists.
     """
     if side not in ("minimal", "maximal"):
         raise ValueError(f"unknown side {side!r}")
-    if not graph.is_connected():
-        return None
     vertices = graph.vertices
     n = len(vertices)
     if n <= 1:
         return SpanningTreeWitness(side, vertices, frozenset())
-
-    below = poset.leq if side == "minimal" else (lambda a, b: poset.leq(b, a))
-    # distinct principal sets with at least two vertices; a tree induces
-    # a forest on each, so connectedness is a pure edge count
-    principal = {
-        frozenset(v for v in vertices if below(v, alpha))
-        for alpha in poset.elements
-    }
-    principal = [d for d in principal if len(d) >= 2]
+    if len(graph.edges) < n - 1:  # too few edges to span the graph
+        return None
 
     vrank = {v: i for i, v in enumerate(vertices)}
+    # the vertices at or below (above) each element; a vertex heads only
+    # its own one-vertex set
+    beyond: dict[str, list[str]] = {}
+    for a, b in poset.relation:
+        if side == "maximal":
+            a, b = b, a
+        if a in vrank:
+            beyond.setdefault(b, []).append(a)
+    principal = {tuple(sorted(d, key=vrank.__getitem__))
+                 for d in beyond.values() if len(d) >= 2}
+    # each principal set is a clique of the graph (its vertices lie below
+    # a common element), so its pairs are its edges
+    weight = Counter(pair for d in principal for pair in combinations(d, 2))
     edge_list = sorted(
         (tuple(sorted(e, key=vrank.__getitem__)) for e in graph.edges),
-        key=lambda e: (vrank[e[0]], vrank[e[1]]))
-    examined = 0
-    # depth-first over edge subsets in index order, on an explicit stack:
-    # ``trail`` holds, per chosen edge, the next edge index to try and the
-    # union-find forest from before the edge was added
+        key=lambda e: (-weight[e], vrank[e[0]], vrank[e[1]]))
+
     parent = {v: v for v in vertices}
     chosen: list[tuple[str, str]] = []
-    trail: list[tuple[int, dict[str, str]]] = []
-    k = 0
-    while True:
-        if len(chosen) == n - 1:
-            examined += 1
-            if examined > cap:
-                raise SizeLimit(f"more than {cap} spanning trees examined")
-            if all(sum(1 for (u, v) in chosen if u in d and v in d)
-                   == len(d) - 1 for d in principal):
-                return SpanningTreeWitness(
-                    side, vertices,
-                    frozenset(frozenset(e) for e in chosen))
-        elif len(chosen) + (len(edge_list) - k) >= n - 1:
-            u, v = edge_list[k]
-            k += 1
-            ru, rv = _find(parent, u), _find(parent, v)
-            if ru != rv:
-                trail.append((k, dict(parent)))
-                parent[rv] = ru
-                chosen.append((u, v))
-            continue
-        if not trail:
-            return None
-        k, parent = trail.pop()
-        chosen.pop()
+    total = 0
+    for u, v in edge_list:
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru != rv:
+            parent[rv] = ru
+            chosen.append((u, v))
+            total += weight[u, v]
+    if len(chosen) < n - 1 or total < sum(len(d) - 1 for d in principal):
+        return None
+    return SpanningTreeWitness(side, vertices,
+                               frozenset(frozenset(e) for e in chosen))
 
 
 def _find(parent: dict[str, str], x: str) -> str:
@@ -434,12 +410,14 @@ def _find(parent: dict[str, str], x: str) -> str:
     return x
 
 
-def is_synchronizable(poset: Poset, cap: int = DEFAULT_TREE_CAP) -> bool:
+def is_synchronizable(poset: Poset) -> bool:
     """True iff both interlacing graphs admit locally connected spanning
-    trees; a sufficient condition for every stochastically monotone
-    system over this index poset to be realizable when the state poset
-    has all branching elements extremal."""
+    trees, each decided by one maximum-weight spanning tree
+    (:func:`locally_connected_spanning_tree`); a sufficient condition
+    for every stochastically monotone system over this index poset to
+    be realizable when the state poset has all branching elements
+    extremal."""
     gmin, gmax = interlacing_graphs(poset)
-    if locally_connected_spanning_tree(gmin, poset, "minimal", cap) is None:
+    if locally_connected_spanning_tree(gmin, poset, "minimal") is None:
         return False
-    return locally_connected_spanning_tree(gmax, poset, "maximal", cap) is not None
+    return locally_connected_spanning_tree(gmax, poset, "maximal") is not None

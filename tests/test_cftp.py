@@ -201,6 +201,36 @@ def test_grand_coupling_beyond_class_w(poset, L):
     assert len(draws) == 40 and set(draws) <= set(poset.elements)
 
 
+def fence(n):
+    """The zigzag path f0 < f1 > f2 < f3 ... on n states (class Z)."""
+    f = element_labels(n, "f")
+    return validate_poset(f, [(f[i], f[i + 1]) if i % 2 == 0
+                              else (f[i + 1], f[i]) for i in range(n - 1)])
+
+
+def test_fence_kernel_builds_without_the_up_sets():
+    # a 30-state fence has more up-sets than DEFAULT_UPSET_CAP, so the
+    # monotonicity scan alone would end in SizeLimit
+    S = fence(30)
+    assert classify(S) is PosetClass.Z
+    kern = half_stay_half_uniform(S)
+    gc = build_grand_coupling(kern)
+    assert isinstance(gc, GrandCoupling) and gc.L == 60
+    assert check_grand_coupling(kern, gc)
+
+
+def test_non_monotone_fence_kernel_gives_the_scan_witness():
+    S = fence(8)
+    kern = half_stay_half_uniform(S)
+    rows = dict(kern.rows)
+    rows["f0"] = rational_measure(S.elements, {"f1": 1})  # above row f1
+    kern = kernel(S, rows)
+    with pytest.raises(NotStochMonotone) as err:
+        build_grand_coupling(kern)
+    verdict = is_stoch_monotone(kern.to_system())
+    assert not verdict and err.value.args[1:] == verdict.witness
+
+
 def random_class_by(rng, n):
     """A random orientation of a random tree whose cover graph has an
     interior branching element (class BY)."""

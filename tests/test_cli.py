@@ -45,6 +45,23 @@ def test_classify_chain_and_diamond(capsys, data_dir, tmp_path):
     assert rc == 0 and "class NonAcyclicOrDisconnected" in out
 
 
+def test_classify_crown_with_top(capsys, tmp_path):
+    # an 8-crown (m_i and m_{i+1} below b_i) with one top above every b_i:
+    # the minimal side's interlacing graph is K8, with no locally
+    # connected spanning tree among its 8^6 spanning trees
+    lines = [f"element {x}{i}" for x in "mb" for i in range(8)]
+    lines.append("element top")
+    for i in range(8):
+        lines += [f"cover m{i} b{i}", f"cover m{(i + 1) % 8} b{i}",
+                  f"cover b{i} top"]
+    path = tmp_path / "crown_top.poset"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc, out, err = run(capsys, "classify", "--poset", str(path))
+    assert rc == 0 and err == ""
+    assert out[0] == "elements 17" and "class NonAcyclicOrDisconnected" in out
+    assert out[-1] == "synchronizable false"
+
+
 def test_check_showcase(capsys, data_dir, tmp_path):
     rc, out, _ = run(capsys, "check",
                      "--system", str(data_dir / "w6.system"),

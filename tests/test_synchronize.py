@@ -40,6 +40,8 @@ from monosync.poset import (
 )
 from monosync.synchronize import (
     CellPermutation,
+    InterlacingGraph,
+    SpanningTreeWitness,
     Violation,
     cell_states,
     check_cell_tables,
@@ -48,6 +50,7 @@ from monosync.synchronize import (
     identity_synchronization,
     interlacing_graphs,
     is_synchronizable,
+    _find,
     locally_connected_spanning_tree,
     synchronization_violations,
     synchronize_from_coupling,
@@ -134,7 +137,7 @@ def test_interlacing_w6(w6):
     assert gmax.edges == frozenset({
         frozenset({"z", "v"}), frozenset({"z", "tau"}),
         frozenset({"v", "tau"})})
-    assert gmin.degree("x") == 2 and gmin.is_connected()
+    assert gmin.degree("x") == 2 and graph_is_connected(gmin)
 
 
 def test_witness_tree_forced_edge():
@@ -172,8 +175,6 @@ def test_no_witness_on_crown():
 def test_witness_search_cap():
     poset = crown_poset()
     gmin, _ = interlacing_graphs(poset)
-    with pytest.raises(SizeLimit):
-        locally_connected_spanning_tree(gmin, poset, "minimal", cap=0)
     with pytest.raises(ValueError):
         locally_connected_spanning_tree(gmin, poset, "sideways")
 
@@ -182,6 +183,153 @@ def test_synchronizable_trivia(w6):
     assert is_synchronizable(w6)
     assert is_synchronizable(chain(("a", "b", "c")))
     assert is_synchronizable(diamond())  # single minimum, single maximum
+
+
+def graph_is_connected(graph):
+    """The connectivity test the interlacing graph used to carry."""
+    if len(graph.vertices) <= 1:
+        return True
+    seen = {graph.vertices[0]}
+    frontier = [graph.vertices[0]]
+    while frontier:
+        u = frontier.pop()
+        for e in graph.edges:
+            if u in e:
+                (v,) = e - {u}
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+    return len(seen) == len(graph.vertices)
+
+
+def backtracking_spanning_tree(graph, poset, side="minimal", cap=10**5):
+    """The exhaustive backtracking search that the maximum-weight
+    spanning tree replaced, kept verbatim as the oracle for its verdict
+    (``graph_is_connected`` stands in for the removed method)."""
+    if side not in ("minimal", "maximal"):
+        raise ValueError(f"unknown side {side!r}")
+    if not graph_is_connected(graph):
+        return None
+    vertices = graph.vertices
+    n = len(vertices)
+    if n <= 1:
+        return SpanningTreeWitness(side, vertices, frozenset())
+
+    below = poset.leq if side == "minimal" else (lambda a, b: poset.leq(b, a))
+    # distinct principal sets with at least two vertices; a tree induces
+    # a forest on each, so connectedness is a pure edge count
+    principal = {
+        frozenset(v for v in vertices if below(v, alpha))
+        for alpha in poset.elements
+    }
+    principal = [d for d in principal if len(d) >= 2]
+
+    vrank = {v: i for i, v in enumerate(vertices)}
+    edge_list = sorted(
+        (tuple(sorted(e, key=vrank.__getitem__)) for e in graph.edges),
+        key=lambda e: (vrank[e[0]], vrank[e[1]]))
+    examined = 0
+    # depth-first over edge subsets in index order, on an explicit stack:
+    # ``trail`` holds, per chosen edge, the next edge index to try and the
+    # union-find forest from before the edge was added
+    parent = {v: v for v in vertices}
+    chosen: list[tuple[str, str]] = []
+    trail: list[tuple[int, dict[str, str]]] = []
+    k = 0
+    while True:
+        if len(chosen) == n - 1:
+            examined += 1
+            if examined > cap:
+                raise SizeLimit(f"more than {cap} spanning trees examined")
+            if all(sum(1 for (u, v) in chosen if u in d and v in d)
+                   == len(d) - 1 for d in principal):
+                return SpanningTreeWitness(
+                    side, vertices,
+                    frozenset(frozenset(e) for e in chosen))
+        elif len(chosen) + (len(edge_list) - k) >= n - 1:
+            u, v = edge_list[k]
+            k += 1
+            ru, rv = _find(parent, u), _find(parent, v)
+            if ru != rv:
+                trail.append((k, dict(parent)))
+                parent[rv] = ru
+                chosen.append((u, v))
+            continue
+        if not trail:
+            return None
+        k, parent = trail.pop()
+        chosen.pop()
+
+
+def is_locally_connected(witness, graph, poset, side):
+    """The witness is a spanning tree of ``graph`` that connects the
+    extremal elements below (above) every element of the poset."""
+    edges = witness.edges
+    if witness.vertices != graph.vertices or not edges <= graph.edges:
+        return False
+    if len(edges) != max(len(graph.vertices) - 1, 0):
+        return False
+    for alpha in poset.elements:
+        d = tuple(v for v in graph.vertices if (
+            poset.leq(v, alpha) if side == "minimal"
+            else poset.leq(alpha, v)))
+        inside = frozenset(e for e in edges if e <= set(d))
+        if not graph_is_connected(InterlacingGraph(d, inside)):
+            return False
+    return True
+
+
+def crown_with_top(k):
+    """A k-crown (``m_i``, ``m_{i+1}`` below ``b_i``) with one element
+    above every ``b_i``."""
+    m = [f"m{i}" for i in range(k)]
+    b = [f"b{i}" for i in range(k)]
+    pairs = [(m[i], b[i]) for i in range(k)]
+    pairs += [(m[(i + 1) % k], b[i]) for i in range(k)]
+    pairs += [(x, "top") for x in b]
+    return validate_poset(m + b + ["top"], pairs)
+
+
+def test_crown_with_top_is_not_synchronizable():
+    poset = crown_with_top(8)
+    gmin, gmax = interlacing_graphs(poset)
+    assert len(gmin.vertices) == 8 and len(gmin.edges) == 28
+    assert locally_connected_spanning_tree(gmin, poset, "minimal") is None
+    assert locally_connected_spanning_tree(gmax, poset, "maximal")
+    assert not is_synchronizable(poset)
+
+
+def random_crown_like(rng):
+    """Two to four minimals, one to four elements each above two of them,
+    and maybe one element above some of those: at most 9 elements, often
+    with a connected interlacing graph that has no locally connected
+    spanning tree (rare among ``random_poset`` draws)."""
+    m = [f"m{i}" for i in range(rng.randrange(2, 5))]
+    b = [f"b{i}" for i in range(rng.randrange(1, 5))]
+    pairs = [(x, y) for y in b for x in rng.sample(m, 2)]
+    if rng.random() < 0.5:
+        tops = rng.sample(b, rng.randrange(1, len(b) + 1))
+        pairs += [(y, "top") for y in tops]
+        return validate_poset(m + b + ["top"], pairs)
+    return validate_poset(m + b, pairs)
+
+
+@given(seeds)
+@settings(max_examples=300)
+def test_spanning_tree_matches_backtracking_oracle(seed):
+    rng = random.Random(seed)
+    poset = (random_poset(rng, rng.randrange(0, 10)) if rng.random() < 0.5
+             else random_crown_like(rng))
+    verdicts = []
+    for graph, side in zip(interlacing_graphs(poset), ("minimal", "maximal")):
+        witness = locally_connected_spanning_tree(graph, poset, side)
+        oracle = backtracking_spanning_tree(graph, poset, side)
+        assert (witness is None) == (oracle is None)
+        if witness is not None:
+            assert witness.side == side
+            assert is_locally_connected(witness, graph, poset, side)
+        verdicts.append(witness is not None)
+    assert is_synchronizable(poset) == all(verdicts)
 
 
 @given(seeds)
