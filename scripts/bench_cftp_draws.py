@@ -1,0 +1,195 @@
+#!/usr/bin/env python3
+"""Time perfect draws on seeded lazy walks and class-W mixture kernels.
+
+Lazy walks: birth-death chains on n = 8, 16, 32, 64 states, seeded by
+``random.Random(n)``, stepping up and down with probability 4/16 or
+5/16 each (monotone, holding at least 6/16).  Class-W mixtures:
+``random_class_w(random.Random(n), n)`` for n = 6, 8, 12, with rows from
+``random_monotone_system_chain(rng, S, S, 4)`` mixed 1/2 with the uniform
+row.  Draw k of every kernel is ``cftp_sample(gc, SEED, stream=k)``.
+
+Per kernel it records the median microseconds per draw (each draw timed
+on its own) and the cells per draw.  Every draw is then drawn again with
+a counting sampler and cross-checked against an independent doubling
+replay on the string table, with its own cell list:
+
+* the draw equals the replay's;
+* the cells drawn are those of times 1..k, each once;
+* the map from time -k is constant and the map from time -(k - 1) is not,
+  so the sampler stopped at coalescence.
+
+Any failure exits 1 after the file is written.
+
+With ``--runs DIR`` it also summarises benchmark runs, as
+``scripts/bench_glued_build.py --runs`` does: each file
+``DIR/{parent,change}-{workload}-{seed}.json`` holds the last stdout line
+of ``perfbench/run.py``.  Without ``--runs`` a summary already in the
+output file is kept as it is.
+
+Usage:
+    PYTHONPATH=src python3 scripts/bench_cftp_draws.py [--quick]
+        [--out FILE] [--runs DIR]
+
+``--quick`` keeps the walks on 8 and 16 states and the mixtures on 6
+and 8, with fewer draws (a few seconds).  The default output is
+BENCH_cftp_draws.json at the repository root.
+"""
+
+import argparse
+import json
+import os
+import platform
+import random
+import statistics
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+from bench_glued_build import quartiles, summarise
+from monosync import cftp
+from monosync.cftp import build_grand_coupling, cftp_sample, kernel
+from monosync.generate import random_class_w, random_monotone_system_chain
+from monosync.measure import rational_measure
+from monosync.poset import chain
+from monosync.rng import CellSampler
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 20261018
+WALKS = (8, 16, 32, 64)
+MIXTURES = (6, 8, 12)
+DRAWS = 60
+QUICK_WALKS = (8, 16)
+QUICK_MIXTURES = (6, 8)
+QUICK_DRAWS = 15
+
+
+def lazy_walk(n):
+    rng = random.Random(n)
+    els = tuple(f"s{i}" for i in range(n))
+    rows = {}
+    for i, x in enumerate(els):
+        up = rng.randrange(4, 6) if i < n - 1 else 0
+        down = rng.randrange(4, 6) if i > 0 else 0
+        m = {x: Fraction(16 - up - down, 16)}
+        if up:
+            m[els[i + 1]] = Fraction(up, 16)
+        if down:
+            m[els[i - 1]] = Fraction(down, 16)
+        rows[x] = rational_measure(els, m)
+    return kernel(chain(els), rows)
+
+
+def w_mixture(n):
+    rng = random.Random(n)
+    S = random_class_w(rng, n)
+    els = S.elements
+    u = Fraction(1, 2 * len(els))
+    rows = random_monotone_system_chain(rng, S, S, 4).measures
+    return kernel(S, {s: rational_measure(
+        els, {t: row.of(t) / 2 + u for t in els}) for s, row in rows.items()})
+
+
+def replay_map(gc, cells, T):
+    """States at time 0 reached from each state at time -T, replayed
+    forward on the string table."""
+    cur = {x: x for x in gc.state_poset.elements}
+    for t in range(T, 0, -1):
+        cur = {x: gc.update[y][cells[t]] for x, y in cur.items()}
+    return set(cur.values())
+
+
+def cross_check(gc, stream, draw):
+    """``(reason, k)``, where ``k`` is the number of cells the draw took
+    and ``reason`` is None when the draw and its cells agree with a
+    doubling replay."""
+    times = []
+
+    class Counting(CellSampler):
+        def cell_at(self, t):
+            times.append(t)
+            return super().cell_at(t)
+
+    cftp.CellSampler = Counting  # the sampler cftp_sample builds
+    try:
+        again = cftp_sample(gc, SEED, stream)
+    finally:
+        cftp.CellSampler = CellSampler
+    k = len(times)
+    if again != draw:
+        return f"stream {stream}: {draw!r}, then {again!r}", k
+    if times != list(range(1, k + 1)):
+        return f"stream {stream}: cells drawn at times {times[:8]}...", k
+    sampler = CellSampler(gc.L, SEED, stream)
+    cells = [None]
+    T = 1
+    while True:
+        cells += [sampler.cell_at(t) for t in range(len(cells), T + 1)]
+        values = replay_map(gc, cells, T)
+        if len(values) == 1:
+            break
+        T *= 2
+    if values != {draw}:
+        return f"stream {stream}: {draw!r}, replay gives {values}", k
+    if len(replay_map(gc, cells, k)) != 1:
+        return f"stream {stream}: no coalescence by time -{k}", k
+    if k > 1 and len(replay_map(gc, cells, k - 1)) == 1:
+        return f"stream {stream}: coalesced by time -{k - 1}", k
+    return None, k
+
+
+def measure(name, kern, draws):
+    gc = build_grand_coupling(kern)
+    seconds, out = [], []
+    for k in range(draws):
+        t0 = time.perf_counter()
+        out.append(cftp_sample(gc, SEED, stream=k))
+        seconds.append(time.perf_counter() - t0)
+    checked = [cross_check(gc, k, draw) for k, draw in enumerate(out)]
+    cells = [k for _, k in checked]
+    failures = [reason for reason, _ in checked if reason is not None]
+    us = quartiles([s * 1e6 for s in seconds])
+    row = {"kernel": name, "states": len(kern.state_poset), "L": gc.L,
+           "draws": draws, "median_us": us["median"], "q1_us": us["q1"],
+           "q3_us": us["q3"],
+           "cells_per_draw": statistics.fmean(cells),
+           "max_cells": max(cells), "failures": failures}
+    print(json.dumps(row), flush=True)
+    return row
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--quick", action="store_true")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_cftp_draws.json")
+    ap.add_argument("--runs", type=Path, default=None)
+    args = ap.parse_args()
+
+    walks, mixtures, draws = ((QUICK_WALKS, QUICK_MIXTURES, QUICK_DRAWS)
+                              if args.quick else (WALKS, MIXTURES, DRAWS))
+    rows = [measure(f"walk{n}", lazy_walk(n), draws) for n in walks]
+    rows += [measure(f"w{n}", w_mixture(n), draws) for n in mixtures]
+    failures = sum(len(row["failures"]) for row in rows)
+    report = {
+        "what": "perfect draws cftp_sample(gc, SEED, stream=k) on seeded "
+                "lazy walks and class-W mixtures: microseconds per draw "
+                "(quartiles over the draws) and cells drawn per draw; every "
+                "draw cross-checked against a doubling replay",
+        "seed": SEED,
+        "host": {"python": platform.python_version(),
+                 "machine": platform.machine(), "cpus": os.cpu_count()},
+        "kernels": rows,
+    }
+    if args.runs is not None:
+        report["benchmark"] = summarise(args.runs)
+    elif args.out.exists():
+        kept = json.loads(args.out.read_text()).get("benchmark")
+        if kept is not None:
+            report["benchmark"] = kept
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    print(f"wrote {args.out}; {failures} draw(s) failed their check")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,10 +3,11 @@
 The kernel's rows, read as a measure system indexed by the state poset
 itself, get a grand coupling: one update table driven by a single
 uniform cell per step, applied simultaneously from every state without
-breaking the order.  Coupling from the past then walks epochs of doubled
-length into history, reusing the randomness already drawn, until every
-start state has funneled into one value; that value has exactly the
-stationary law, which a rational linear solve cross-checks.
+breaking the order.  Coupling from the past then reaches one step further
+into history at a time, composing each older cell in front of the map
+already built, and stops as soon as every start state has funneled into
+one value; that value has exactly the stationary law, which a rational
+linear solve cross-checks.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from operator import itemgetter
 from typing import Mapping
 
 from .coupling import (
@@ -81,8 +83,9 @@ class GrandCoupling:
 
     Row x lists the next state per cell; cell counts reproduce the kernel
     row at x exactly, and rows respect the order cell by cell.  The
-    table is read-only once built: the sampler's integer columns and the
-    ergodicity verdict are derived from it once and cached.
+    table is read-only once built: the sampler's steps (one
+    ``itemgetter`` per cell), the extremal indices and the ergodicity
+    verdict are derived from it once and cached.
     """
 
     L: int
@@ -103,12 +106,13 @@ class GrandCoupling:
                     f"row at {x!r} names unknown states {sorted(stray)}")
 
     @cached_property
-    def _columns(self) -> tuple[tuple[int, ...], ...]:
-        """Cell-major view by state index: ``_columns[c][i]`` is the
-        index of the next state from state ``i`` under cell ``c``."""
+    def _steps(self) -> tuple[itemgetter, ...]:
+        """One ``itemgetter`` per cell: ``_steps[c](comp)[i]`` is ``comp``
+        at the index of the next state from state ``i`` under cell ``c``
+        (a scalar, not a tuple, when there is one state)."""
         pos = self.state_poset.index
         rows = (self.update[x] for x in self.state_poset.elements)
-        return tuple(tuple(map(pos, col)) for col in zip(*rows))
+        return tuple(itemgetter(*map(pos, col)) for col in zip(*rows))
 
     @cached_property
     def _extremals(self) -> tuple[int, ...]:
@@ -274,40 +278,37 @@ def cftp_sample(gc: GrandCoupling, seed: int, stream: int = 0,
                 check_ergodic: bool = True) -> str:
     """One draw with exactly the stationary law.
 
-    Doubling epochs reach into the past; the cell at time -t is reused
-    bit for bit across epochs (counter-based draws, one keyed hash per
-    sampler), and the composed map from each epoch start extends the
-    stored one instead of being replayed.  States are tracked as indices
-    through the table's integer columns, built once per table; the
-    states, cells and draws are those of the string table, for the same
-    ``(seed, stream)``.  Full-state tracking decides coalescence; the
-    extremal shortcut is recomputed on every epoch and must agree, a
-    guarantee the monotone update table enforces rather than a hope.
+    ``comp[i]`` is the state index at time 0 reached from state ``i`` at
+    time ``-t``; each step back puts the cell at time ``-(t + 1)`` in front
+    (``comp = _steps[cell](comp)``), so every time's cell is drawn once,
+    from a counter-based sampler keyed by ``(seed, stream)``.  Full-state
+    tracking decides: the draw is returned as soon as ``comp`` is
+    constant, which it then stays for every earlier start (Propp and
+    Wilson, 1996), so it is the value that epochs of doubled length
+    would return at the first power of two at or beyond that time.  At
+    each such epoch boundary ``T`` the extremal shortcut must agree (the
+    monotone update table guarantees it), and ``max_epoch`` bounds the
+    last epoch tried.
     """
     if check_ergodic:
         _require_ergodic_table(gc)
-    sampler = CellSampler(gc.L, seed, stream)
-    cols = gc._columns
+    cell_at = CellSampler(gc.L, seed, stream).cell_at
+    steps = gc._steps
     extremals = gc._extremals
-    identity = tuple(range(len(gc.state_poset)))
-    comp = identity  # composed map over times -covered..-1
-    covered = 0
+    n = len(gc.state_poset)
+    comp = tuple(range(n))  # composed map over times -t..-1
+    t = 0
     T = 1
-    while True:
-        seg = identity
-        for t in range(T, covered, -1):
-            seg = tuple(map(cols[sampler.cell_at(t)].__getitem__, seg))
-        comp = tuple(map(comp.__getitem__, seg))
-        covered = T
-        full = set(comp)
-        ext = {comp[i] for i in extremals}
-        if (len(full) == 1) != (len(ext) == 1):
-            raise ContractViolation("trackers disagree", T)
-        if len(full) == 1:
-            return gc.state_poset.elements[comp[0]]
-        if T >= max_epoch:
-            raise BudgetExceeded(f"no coalescence by epoch {T}")
-        T *= 2
+    while comp.count(comp[0]) < n:
+        if t == T:
+            if len({comp[i] for i in extremals}) == 1:
+                raise ContractViolation("trackers disagree", T)
+            if T >= max_epoch:
+                raise BudgetExceeded(f"no coalescence by epoch {T}")
+            T *= 2
+        t += 1
+        comp = steps[cell_at(t)](comp)
+    return gc.state_poset.elements[comp[0]]
 
 
 def sample_many(gc: GrandCoupling, seed: int, n: int,

@@ -19,12 +19,13 @@ class CellSampler:
     """Uniform draws over ``{0, ..., L-1}``, addressable by time index.
 
     ``cell_at(t)`` is a pure function of ``(seed, stream, t)``; repeated
-    and out-of-order queries agree bit for bit.  Each word is a keyed
-    blake2b of the 12-byte counter ``(t, attempt)``; the keyed state is
-    built once per sampler and copied per word, which hashes exactly the
-    bytes a fresh keyed hash would, so the stream does not depend on it.
-    Rejection sampling removes the modulo bias exactly, so every cell
-    has probability ``1/L`` under the uniform-output model of the hash.
+    and out-of-order queries agree bit for bit, and nothing is stored
+    between them.  Each word is a keyed blake2b of the 12-byte counter
+    ``(t, attempt)``; the keyed state is built once per sampler and
+    copied per word, which hashes exactly the bytes a fresh keyed hash
+    would, so the stream does not depend on it.  Rejection sampling
+    removes the modulo bias exactly, so every cell has probability
+    ``1/L`` under the uniform-output model of the hash.
     """
 
     def __init__(self, L: int, seed: int, stream: int = 0):
@@ -35,26 +36,17 @@ class CellSampler:
                + (stream % 2**64).to_bytes(8, "big"))
         self._keyed = blake2b(key=key, digest_size=_WORD // 8)
         self._bound = (2**_WORD // L) * L
-        self._cache: dict[int, int] = {}
 
     @property
     def L(self) -> int:
         return self._L
 
-    def _word(self, t: int, attempt: int) -> int:
-        h = self._keyed.copy()
-        h.update(_COUNTER.pack(t % 2**64, attempt))
-        return int.from_bytes(h.digest(), "big")
-
     def cell_at(self, t: int) -> int:
-        hit = self._cache.get(t)
-        if hit is not None:
-            return hit
         attempt = 0
-        draw = self._word(t, attempt)
-        while draw >= self._bound:  # rejected: top sliver of the word range
+        while True:
+            h = self._keyed.copy()
+            h.update(_COUNTER.pack(t % 2**64, attempt))
+            draw = int.from_bytes(h.digest(), "big")
+            if draw < self._bound:  # else rejected: top sliver of the range
+                return draw % self._L
             attempt += 1
-            draw = self._word(t, attempt)
-        cell = draw % self._L
-        self._cache[t] = cell
-        return cell

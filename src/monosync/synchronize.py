@@ -319,13 +319,17 @@ class InterlacingGraph:
 
 
 def _interlacing(poset: Poset) -> InterlacingGraph:
+    """Pairs of minimal elements strictly below a common element, found
+    in one pass over the relation."""
     mins = poset.minimal()
-    edges = set()
-    for i, a in enumerate(mins):
-        for b in mins[i + 1:]:
-            if any(poset.lt(a, c) and poset.lt(b, c) for c in poset.elements):
-                edges.add(frozenset((a, b)))
-    return InterlacingGraph(mins, frozenset(edges))
+    is_min = set(mins)
+    below: dict[str, list[str]] = {}
+    for a, c in poset.relation:
+        if a in is_min:  # a minimal c lists only itself: no pair
+            below.setdefault(c, []).append(a)
+    return InterlacingGraph(mins, frozenset(
+        frozenset(pair) for d in below.values()
+        for pair in combinations(d, 2)))
 
 
 def interlacing_graphs(poset: Poset) -> tuple[InterlacingGraph, InterlacingGraph]:

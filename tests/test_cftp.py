@@ -11,9 +11,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monosync import cftp
 from monosync.cftp import (
+    DEFAULT_MAX_EPOCH,
     GrandCoupling,
     _chi2_sf,
+    _require_ergodic_table,
     build_grand_coupling,
     check_grand_coupling,
     cftp_sample,
@@ -35,6 +38,7 @@ from monosync.errors import (
     ContractViolation,
     DomainMismatch,
     GridMismatch,
+    MonosyncError,
     NotErgodic,
     NotStochMonotone,
     SizeLimit,
@@ -46,6 +50,7 @@ from monosync.generate import (
     random_class_w,
     random_measure,
     random_monotone_system,
+    random_poset,
     random_tree_edges,
 )
 from monosync.measure import rational_measure
@@ -305,6 +310,35 @@ def test_cftp_determinism(chain2_kernel):
     assert sample_many(gc, seed=9, n=50) == sample_many(gc, seed=9, n=50)
 
 
+def test_one_state_kernel_draws_its_only_state():
+    # the one-state table's step getter would return a scalar, not a
+    # tuple; the draw needs no step at all
+    only = chain(("only",))
+    kern = kernel(only, {"only": rational_measure(("only",), {"only": 1})})
+    gc = build_grand_coupling(kern)
+    assert isinstance(gc, GrandCoupling) and gc.L == 1
+    assert sample_many(gc, seed=4, n=3) == ("only",) * 3
+    assert cftp_sample(gc, seed=4, max_epoch=0) == "only"
+    assert doubling_cftp_sample(gc, seed=4) == "only"
+
+
+def test_sample_many_calls_the_module_level_sampler(monkeypatch,
+                                                     chain2_kernel):
+    # the benchmark times each draw through this name
+    gc = build_grand_coupling(chain2_kernel)
+    calls = []
+    inner = cftp.cftp_sample
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["stream"])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cftp, "cftp_sample", counted)
+    draws = sample_many(gc, seed=6, n=7)
+    assert calls == list(range(7))
+    assert draws == tuple(inner(gc, seed=6, stream=k) for k in range(7))
+
+
 def test_cftp_epoch_budget(chain2_kernel):
     gc = build_grand_coupling(chain2_kernel)
     # seed 1 drew the one non-coalescing cell at time -1
@@ -451,3 +485,111 @@ def test_stationary_solves_balance_exactly(seed):
     assert sum(pi.of(s) for s in c.elements) == 1
     for t in c.elements:
         assert sum(pi.of(s) * rows[s].of(t) for s in c.elements) == pi.of(t)
+
+
+def doubling_columns(gc):
+    """Cell-major view by state index: ``cols[c][i]`` is the index of the
+    next state from state ``i`` under cell ``c``."""
+    pos = gc.state_poset.index
+    rows = (gc.update[x] for x in gc.state_poset.elements)
+    return tuple(tuple(map(pos, col)) for col in zip(*rows))
+
+
+def doubling_cftp_sample(gc, seed, stream=0, max_epoch=DEFAULT_MAX_EPOCH,
+                         check_ergodic=True):
+    """The former sampler, kept as the oracle: epochs of doubled length,
+    each epoch's new cells composed forward and the stored map extended
+    by them, coalescence looked at only at epoch boundaries."""
+    if check_ergodic:
+        _require_ergodic_table(gc)
+    sampler = CellSampler(gc.L, seed, stream)
+    cols = doubling_columns(gc)
+    extremals = gc._extremals
+    identity = tuple(range(len(gc.state_poset)))
+    comp = identity  # composed map over times -covered..-1
+    covered = 0
+    T = 1
+    while True:
+        seg = identity
+        for t in range(T, covered, -1):
+            seg = tuple(map(cols[sampler.cell_at(t)].__getitem__, seg))
+        comp = tuple(map(comp.__getitem__, seg))
+        covered = T
+        full = set(comp)
+        ext = {comp[i] for i in extremals}
+        if (len(full) == 1) != (len(ext) == 1):
+            raise ContractViolation("trackers disagree", T)
+        if len(full) == 1:
+            return gc.state_poset.elements[comp[0]]
+        if T >= max_epoch:
+            raise BudgetExceeded(f"no coalescence by epoch {T}")
+        T *= 2
+
+
+def random_monotone_table(rng):
+    """The built table of a monotone kernel on a chain (1-7 states) or a
+    class-W or class-BY poset (4-7): rows from ``random_monotone_system``,
+    half of them mixed 1/2 with the uniform row (then ergodic)."""
+    shape = rng.choice(["Z", "W", "BY"])
+    if shape == "Z":
+        S = chain(element_labels(rng.randrange(1, 8), "s"))
+    elif shape == "W":
+        S = random_class_w(rng, rng.randrange(4, 8))
+    else:
+        S = random_class_by(rng, rng.randrange(4, 8))
+    els = S.elements
+    rows = random_monotone_system(rng, S, S, rng.randrange(1, 7)).measures
+    mixed = rng.random() < 0.5
+    if mixed:
+        u = Fraction(1, 2 * len(els))
+        rows = {s: rational_measure(els, {t: row.of(t) / 2 + u for t in els})
+                for s, row in rows.items()}
+    gc = build_grand_coupling(kernel(S, rows))
+    assert isinstance(gc, GrandCoupling)
+    return gc, mixed
+
+
+def random_table(rng):
+    """An arbitrary table on a chain or a random poset (1-5 states, 1-4
+    cells): each column a random map, or a random permutation, which
+    never coalesces; most such tables are not monotone."""
+    n = rng.randrange(1, 6)
+    S = (chain(element_labels(n)) if rng.random() < 0.5
+         else random_poset(rng, n))
+    els = S.elements
+    L = rng.randrange(1, 5)
+    if rng.random() < 0.25:
+        cols = [rng.sample(els, n) for _ in range(L)]
+    else:
+        cols = [[rng.choice(els) for _ in els] for _ in range(L)]
+    return GrandCoupling(L, S, {x: tuple(col[i] for col in cols)
+                                for i, x in enumerate(els)})
+
+
+def outcome(sample, *args, **kwargs):
+    """The draw, or the exception's type, message and witness."""
+    try:
+        return sample(*args, **kwargs)
+    except MonosyncError as err:
+        return type(err), err.args, getattr(err, "witness", None)
+
+
+@given(seeds)
+@settings(max_examples=300, deadline=None)
+def test_step_back_sampler_matches_doubling_oracle(seed):
+    rng = random.Random(seed)
+    epochs = [0, 1, 2, 3, 5, 6, 7, 12, 33, 64, 100]
+    if rng.random() < 0.5:
+        gc, mixed = random_monotone_table(rng)
+        check_ergodic = rng.random() < 0.8
+        if mixed:  # ergodic and monotone: coalesces with probability 1
+            epochs.append(DEFAULT_MAX_EPOCH)
+    else:
+        gc = random_table(rng)
+        check_ergodic = False
+    max_epoch = rng.choice(epochs)
+    for stream in range(3):
+        kwargs = dict(stream=stream, max_epoch=max_epoch,
+                      check_ergodic=check_ergodic)
+        got = outcome(cftp_sample, gc, seed, **kwargs)
+        assert got == outcome(doubling_cftp_sample, gc, seed, **kwargs)

@@ -15,7 +15,8 @@ def test_cells_in_range_and_reproducible(L, seed, stream):
     b = CellSampler(L, seed, stream)
     cells = [a.cell_at(t) for t in range(1, 40)]
     assert cells == [b.cell_at(t) for t in range(1, 40)]
-    assert cells == [a.cell_at(t) for t in range(1, 40)]  # memo stays put
+    # the same sampler, asked again
+    assert cells == [a.cell_at(t) for t in range(1, 40)]
     assert all(0 <= c < L for c in cells)
 
 

@@ -332,6 +332,28 @@ def test_spanning_tree_matches_backtracking_oracle(seed):
     assert is_synchronizable(poset) == all(verdicts)
 
 
+def pairwise_interlacing(poset):
+    """The interlacing graph by its definition: each pair of minimal
+    elements tested against every element with ``lt``."""
+    mins = poset.minimal()
+    edges = set()
+    for i, a in enumerate(mins):
+        for b in mins[i + 1:]:
+            if any(poset.lt(a, c) and poset.lt(b, c) for c in poset.elements):
+                edges.add(frozenset((a, b)))
+    return InterlacingGraph(mins, frozenset(edges))
+
+
+@given(seeds)
+@settings(max_examples=300)
+def test_interlacing_matches_pairwise_definition(seed):
+    rng = random.Random(seed)
+    poset = (random_poset(rng, rng.randrange(0, 12)) if rng.random() < 0.5
+             else random_crown_like(rng))
+    assert interlacing_graphs(poset) == (pairwise_interlacing(poset),
+                                         pairwise_interlacing(poset.dual()))
+
+
 @given(seeds)
 @settings(max_examples=30)
 def test_synchronize_after_realize_verifies(seed):
