@@ -5,9 +5,9 @@ For each n the kernel is ``random_class_w(random.Random(3), n)`` with rows
 ``1/2 delta_s + 1/2 uniform`` (stochastically monotone and ergodic).  Per
 n it records the median seconds of ``build_grand_coupling``, which glues
 the rows along the cover tree, and the grid size ``L``.  Up to n = 8 it
-also times the LP route that a cyclic state poset takes (``realize``,
-``synchronize_from_coupling`` and ``composed_tables`` along the rooted
-extension) and records that table's grid.  Every table is re-checked with
+also times the LP route that a cyclic state poset takes (``realize``
+and ``coupling_tables`` along the rooted extension) and records that
+table's grid.  Every table is re-checked with
 ``check_grand_coupling`` (``check_cell_tables`` for the LP one); any
 failure exits 1 after the file is written.
 
@@ -42,11 +42,7 @@ from monosync.coupling import realize
 from monosync.generate import random_class_w
 from monosync.measure import rational_measure
 from monosync.poset import default_root, root_tree
-from monosync.synchronize import (
-    check_cell_tables,
-    composed_tables,
-    synchronize_from_coupling,
-)
+from monosync.synchronize import check_cell_tables, coupling_tables
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = range(6, 31)
@@ -79,8 +75,7 @@ def median_seconds(fn, n):
 def lp_tables(kern):
     system = kern.to_system()
     _, extension = root_tree(kern.state_poset, default_root(kern.state_poset))
-    phis = synchronize_from_coupling(system, realize(system), extension)
-    return composed_tables(system, phis, extension)
+    return coupling_tables(system, realize(system), extension)
 
 
 def sweep(sizes):

@@ -25,17 +25,16 @@ from monosync.poset import default_root, root_tree
 from monosync.svg import svg_bands, svg_permutation
 from monosync.synchronize import (
     composed_tables,
-    identity_synchronization,
-    synchronization_violations,
+    raw_tables,
     synchronize_from_coupling,
+    table_violations,
     verify_synchronized,
 )
 
 DEFAULT_SYSTEM = Path(__file__).resolve().parent.parent / "data" / "w6.system"
 
 
-def print_tables(system, extension, phis, violations=()):
-    L, tables = composed_tables(system, phis, extension)
+def print_tables(system, L, tables, violations=()):
     bad_cells = {v.cell for v in violations}
     width = max(len(s) for s in system.state_poset.elements)
     header = "  ".join(f"{i:>{width}}" for i in range(L))
@@ -75,10 +74,10 @@ def main() -> int:
     _, extension = root_tree(system.state_poset, root, orders or None)
     print(f"rooted at {root}, extension {' < '.join(extension.order)}")
 
-    naive = identity_synchronization(system)
-    naive_violations = synchronization_violations(system, naive, extension)
+    L, naive = raw_tables(system, extension)
+    naive_violations = tuple(table_violations(system, L, naive))
     print(f"\nraw inverse transforms ({len(naive_violations)} violations):")
-    print_tables(system, extension, naive, naive_violations)
+    print_tables(system, L, naive, naive_violations)
     for v in naive_violations:
         print(f"  cell {v.cell}: X_{v.alpha}={v.state_alpha} vs "
               f"X_{v.beta}={v.state_beta} breaks the order")
@@ -92,8 +91,9 @@ def main() -> int:
         print(f"  ({', '.join(tup)})  {w}")
 
     phis = synchronize_from_coupling(system, result, extension)
+    synchronized = composed_tables(system, phis, extension)
     print("\nsynchronized transforms:")
-    print_tables(system, extension, phis)
+    print_tables(system, *synchronized)
     for alpha, phi in phis.items():
         kind = "identity" if phi.is_identity() else f"permutation {phi.perm}"
         print(f"  phi_{alpha}: {kind}")
@@ -104,9 +104,9 @@ def main() -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "bands_naive.svg").write_text(
-            svg_bands(system, naive, extension, naive_violations))
+            svg_bands(system, L, naive, naive_violations))
         (out / "bands_synchronized.svg").write_text(
-            svg_bands(system, phis, extension))
+            svg_bands(system, *synchronized))
         for alpha, phi in phis.items():
             (out / f"phi_{alpha}.svg").write_text(svg_permutation(phi, alpha))
         print(f"plots written to {out}")

@@ -58,13 +58,16 @@ from .synchronize import (
     check_cell_tables,
     common_grid,
     composed_tables,
+    coupling_tables,
     glued_tables,
     identity_synchronization,
     interlacing_graphs,
     is_synchronizable,
     locally_connected_spanning_tree,
+    raw_tables,
     synchronization_violations,
     synchronize_from_coupling,
+    table_violations,
     verify_synchronized,
 )
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from math import gcd
 from operator import itemgetter
 from typing import Mapping
@@ -32,6 +33,7 @@ from .errors import (
     BudgetExceeded,
     ContractViolation,
     GridMismatch,
+    NotCoalescing,
     NotErgodic,
     NotStochMonotone,
 )
@@ -47,10 +49,9 @@ from .poset import (
 from .rng import CellSampler
 from .synchronize import (
     check_cell_tables,
-    composed_tables,
+    coupling_tables,
     glued_tables,
-    identity_synchronization,
-    synchronize_from_coupling,
+    raw_tables,
 )
 
 DEFAULT_MAX_EPOCH = 2**30
@@ -85,7 +86,7 @@ class GrandCoupling:
     row at x exactly, and rows respect the order cell by cell.  The
     table is read-only once built: the sampler's steps (one
     ``itemgetter`` per cell), the extremal indices and the ergodicity
-    verdict are derived from it once and cached.
+    and coalescence verdicts are derived from it once and cached.
     """
 
     L: int
@@ -123,8 +124,37 @@ class GrandCoupling:
 
     @cached_property
     def _ergodic(self) -> Verdict:
+        """Ergodicity of the support digraph, then coalescence: whether
+        coupling from the past can run on the table at all."""
         support = {x: frozenset(row) for x, row in self.update.items()}
-        return _ergodicity(support, self.state_poset.elements)
+        verdict = _ergodicity(support, self.state_poset.elements)
+        return self._coalescing if verdict else verdict
+
+    @cached_property
+    def _coalescing(self) -> Verdict:
+        """Whether some cell sequence maps every state to one: iff each
+        pair of states is merged by some sequence, so the pairs are
+        searched back from the diagonal along the moves ``(i, j) ->
+        (col[i], col[j])``, in O(n^2) times the distinct columns.  The
+        witness names the first pair no sequence merges."""
+        els = self.state_poset.elements
+        pos = self.state_poset.index
+        cols = set(zip(*(map(pos, self.update[x]) for x in els)))
+        pairs = list(combinations(range(len(els)), 2))
+        into: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for i, j in pairs:
+            for q in {tuple(sorted((col[i], col[j]))) for col in cols}:
+                into.setdefault(q, []).append((i, j))
+        stack = [(k, k) for k in range(len(els))]  # the merged pairs
+        seen = set(stack)
+        while stack:
+            for p in into.get(stack.pop(), ()):
+                if p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+        lost = [("apart", els[i], els[j])
+                for i, j in pairs if (i, j) not in seen]
+        return Verdict(not lost, lost[0] if lost else None)
 
 
 def check_grand_coupling(kern: Kernel, gc: GrandCoupling) -> Verdict:
@@ -142,16 +172,17 @@ def build_grand_coupling(kern: Kernel,
     itself, and its cover graph picks one of three routes:
 
     * a path (class Z): the raw inverse transforms along the rooted
-      extension are already ordered (identity synchronization) when the
+      extension are already ordered (:func:`raw_tables`) when the
       kernel is stochastically monotone, so the table is built first and
       the up-sets are scanned only when its check fails;
     * any other tree (classes W and BY): the rows are glued along the
       rooted cover tree by integer transports of cell counts
       (:func:`glued_tables`), with no tuple enumeration and no LP;
     * a cycle or several components: the realization oracle's coupling
-      is turned into cells along the poset's own linear order; the
-      oracle returns an exact infeasibility certificate when no monotone
-      table exists, and ``cap`` bounds its tuple enumeration.
+      is laid out on cells along the poset's own linear order
+      (:func:`coupling_tables`); the oracle returns an exact
+      infeasibility certificate when no monotone table exists, and
+      ``cap`` bounds its tuple enumeration.
 
     A kernel that is not stochastically monotone raises
     :class:`NotStochMonotone` with the witness of
@@ -167,13 +198,11 @@ def build_grand_coupling(kern: Kernel,
         result = realize(system, cap)
         if isinstance(result, InfeasibilityCertificate):
             return result
-        phis = synchronize_from_coupling(system, result, extension)
-        L, update = composed_tables(system, phis, extension)
+        L, update = coupling_tables(system, result, extension)
     else:
         tree, extension = root_tree(poset, default_root(poset))
         if shape is PosetClass.Z:
-            phis = identity_synchronization(system)
-            L, update = composed_tables(system, phis, extension)
+            L, update = raw_tables(system, extension)
         else:
             glued = glued_tables(system, tree, extension)
             if glued is None:  # some cover pair is not dominated
@@ -184,9 +213,8 @@ def build_grand_coupling(kern: Kernel,
 
     gc = GrandCoupling(L, poset, update)
     checked = check_grand_coupling(kern, gc)
-    if not checked:
-        if shape is PosetClass.Z:  # fails only on a non-monotone kernel
-            _require_stoch_monotone(system)
+    if not checked:  # every route falls back on the same up-set scan
+        _require_stoch_monotone(system)
         raise ContractViolation("update table breaks its contract",
                                 checked.witness)
     return gc
@@ -265,12 +293,17 @@ def is_ergodic(kern: Kernel) -> Verdict:
 
 def _require_ergodic_table(gc: GrandCoupling) -> None:
     """Raise :class:`NotErgodic` unless the table's support digraph is
-    ergodic; the verdict is computed once per table."""
+    ergodic, then :class:`NotCoalescing` unless coupling from the past
+    can stop (Propp and Wilson, 1996); both are decided once per table."""
     verdict = gc._ergodic
     if not verdict:
         if verdict.witness == "reducible":
             raise NotErgodic("update table is reducible")
-        raise NotErgodic(f"update table has period {verdict.witness[1]}")
+        kind, *rest = verdict.witness
+        if kind == "periodic":
+            raise NotErgodic(f"update table has period {rest[0]}")
+        raise NotCoalescing("no cell sequence merges {!r} and {!r}".format(
+            *rest))
 
 
 def cftp_sample(gc: GrandCoupling, seed: int, stream: int = 0,

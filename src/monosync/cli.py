@@ -3,8 +3,8 @@
 All reports are line-oriented text with a stable schema, and every
 command is deterministic given its inputs and seed.  Exit codes:
 0 success or true verdict; 1 false verdict (not monotone, not
-realizable, not verified, not ergodic); 2 malformed input; 3 resource
-cap hit.
+realizable, not verified, not ergodic, not coalescing); 2 malformed
+input; 3 resource cap hit.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .coupling import (
 from .errors import (
     BudgetExceeded,
     MonosyncError,
+    NotCoalescing,
     NotErgodic,
     NotStochMonotone,
     SizeLimit,
@@ -47,10 +48,11 @@ from .formats import (
 from .poset import DEFAULT_UPSET_CAP, classify, covers, default_root, root_tree
 from .svg import svg_bands, svg_permutation
 from .synchronize import (
-    identity_synchronization,
+    composed_tables,
     is_synchronizable,
-    synchronization_violations,
+    raw_tables,
     synchronize_from_coupling,
+    table_violations,
     verify_synchronized,
 )
 
@@ -145,11 +147,11 @@ def cmd_synchronize(cfg: JobConfig) -> int:
     root = cfg.root if cfg.root is not None else default_root(system.state_poset)
     _, extension = root_tree(system.state_poset, root, cfg.child_orders or None)
 
-    naive = identity_synchronization(system)
-    naive_violations = synchronization_violations(system, naive, extension)
+    L, naive = raw_tables(system, extension)
+    naive_violations = tuple(table_violations(system, L, naive))
     print(f"naive_violations {len(naive_violations)}")
     _write(cfg, "bands_naive.svg",
-           svg_bands(system, naive, extension, naive_violations))
+           svg_bands(system, L, naive, naive_violations))
 
     result = realize(system, cfg.cap_tuples)
     if isinstance(result, InfeasibilityCertificate):
@@ -158,7 +160,8 @@ def cmd_synchronize(cfg: JobConfig) -> int:
     for alpha, phi in phis.items():
         print(f"phi {alpha} {_write(cfg, f'phi_{alpha}.txt', serialize_phi(phi))}")
         _write(cfg, f"phi_{alpha}.svg", svg_permutation(phi, alpha))
-    _write(cfg, "bands_synchronized.svg", svg_bands(system, phis, extension))
+    _write(cfg, "bands_synchronized.svg",
+           svg_bands(system, *composed_tables(system, phis, extension)))
 
     verdict = verify_synchronized(system, phis, extension)
     print(f"verified {'true' if verdict else 'false'}")
@@ -182,6 +185,9 @@ def cmd_cftp(cfg: JobConfig) -> int:
         draws = sample_many(built, cfg.seed, cfg.samples, cfg.cap_epochs)
     except NotErgodic as e:
         print(f"not ergodic: {e}")
+        return EXIT_FALSE
+    except NotCoalescing as e:
+        print(f"not coalescing: {e}")
         return EXIT_FALSE
     for state in draws:
         print(state)

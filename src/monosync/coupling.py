@@ -49,6 +49,8 @@ class MeasureSystem:
 
 def measure_system(index_poset: Poset, state_poset: Poset,
                    measures: Mapping[str, RationalMeasure]) -> MeasureSystem:
+    if not index_poset.elements:
+        raise DomainMismatch("index poset has no elements")
     for alpha in index_poset.elements:
         if alpha not in measures:
             raise DomainMismatch(f"no measure assigned to index {alpha!r}")

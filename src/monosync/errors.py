@@ -56,6 +56,10 @@ class NotErgodic(MonosyncError):
     """The kernel is reducible or periodic."""
 
 
+class NotCoalescing(MonosyncError):
+    """No cell sequence merges every state: CFTP would never stop."""
+
+
 class BudgetExceeded(MonosyncError):
     """Coupling from the past hit the epoch cap without coalescing."""
 

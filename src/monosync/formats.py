@@ -228,6 +228,10 @@ def _parse_bindings(path: Path, want_index: bool):
         bound[alpha] = labeled[label]
 
     index_poset = parse_poset(base / index_ref[1]) if want_index else state_poset
+    if not index_poset.elements:
+        lineno, _ = index_ref if want_index else states_ref
+        kind = "index" if want_index else "state"
+        raise ParseError(str(path), lineno, f"{kind} poset has no elements")
     return index_poset, state_poset, bound
 
 

@@ -41,9 +41,6 @@ class Poset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, x: str) -> bool:
-        return x in self._index
-
     @cached_property
     def _index(self) -> dict[str, int]:
         return {x: i for i, x in enumerate(self.elements)}
@@ -57,9 +54,6 @@ class Poset:
 
     def lt(self, a: str, b: str) -> bool:
         return a != b and (a, b) in self.relation
-
-    def comparable(self, a: str, b: str) -> bool:
-        return (a, b) in self.relation or (b, a) in self.relation
 
     def strict_pairs(self) -> tuple[tuple[str, str], ...]:
         """All pairs ``(a, b)`` with ``a < b``, in element-index order."""
@@ -105,13 +99,6 @@ class Poset:
     def _maximal(self) -> tuple[str, ...]:
         below = {a for (a, b) in self.relation if a != b}
         return tuple(x for x in self.elements if x not in below)
-
-    def is_chain(self) -> bool:
-        return all(
-            self.comparable(a, b)
-            for i, a in enumerate(self.elements)
-            for b in self.elements[i + 1:]
-        )
 
     def dual(self) -> "Poset":
         """The same ground set with the order reversed."""
@@ -374,25 +361,6 @@ class RootedTree:
     parent: Mapping[str, str]
     children: Mapping[str, tuple[str, ...]]
 
-    def tree_leq(self, x: str, y: str) -> bool:
-        """True iff ``y`` is an ancestor of ``x`` or ``x`` itself."""
-        while True:
-            if x == y:
-                return True
-            if x == self.root:
-                return False
-            x = self.parent[x]
-
-    def subtree(self, x: str) -> tuple[str, ...]:
-        """Descendants of ``x`` including ``x``, in traversal order."""
-        out = [x]
-        stack = [x]
-        while stack:
-            for c in self.children[stack.pop()]:
-                out.append(c)
-                stack.append(c)
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class LinearExtension:
@@ -406,12 +374,6 @@ class LinearExtension:
 
     def rank(self, x: str) -> int:
         return self._rank_of[x]
-
-    def leq(self, a: str, b: str) -> bool:
-        return self._rank_of[a] <= self._rank_of[b]
-
-    def __len__(self) -> int:
-        return len(self.order)
 
 
 def root_tree(poset: Poset, root: str,

@@ -1,8 +1,8 @@
 """Plain-text SVG plots of cell permutations and composed transforms.
 
 Two picture kinds: the graph of a piecewise-translation map on the unit
-square, and horizontal state bands showing a composed transform
-``t -> state`` for each index.  Coordinates live in grid-cell units
+square, and horizontal state bands showing the row of a cell table
+(cell -> state) for each index.  Coordinates live in grid-cell units
 inside the viewBox, so every number in the output is a small integer
 and the files are byte-stable.
 """
@@ -12,8 +12,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .coupling import MeasureSystem
-from .poset import LinearExtension
-from .synchronize import CellPermutation, Violation, composed_tables
+from .synchronize import CellPermutation, Violation
 
 BAND_WIDTH = 1000
 BAND_HEIGHT = 200
@@ -71,15 +70,13 @@ def _band(composed: tuple[str, ...], row: int, fill: Mapping[str, str],
     return out
 
 
-def svg_bands(system: MeasureSystem,
-              phis: Mapping[str, CellPermutation],
-              extension: LinearExtension,
+def svg_bands(system: MeasureSystem, L: int,
+              tables: Mapping[str, tuple[str, ...]],
               violations: tuple[Violation, ...] = (),
               ) -> str:
-    """One horizontal band per index, top to bottom in index order;
-    violating cells, when given, are framed in red across all bands."""
+    """One horizontal band per row of the table, top to bottom in index
+    order; violating cells, when given, are framed in red across all bands."""
     indices = system.index_poset.elements
-    L, tables = composed_tables(system, phis, extension)
     n = len(indices)
     fill = _state_fill(system.state_poset.elements)
     lines = [

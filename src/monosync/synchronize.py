@@ -2,11 +2,12 @@
 
 A synchronizing family reorders the uniform seed ahead of each inverse
 transform so that the composed maps are pointwise ordered.  With rational
-masses everything lives on a common grid of L equal cells, and each
-reordering is a cell permutation (hence preserves the uniform law).  When
-the index poset's cover graph is a tree, the cell tables can instead be
-glued edge by edge from integer transports of cell counts, with no
-coupling at all.
+masses everything lives on a common grid of L equal cells: a monotone
+coupling becomes a cell table, one row of states per index, and a row
+written against the raw inverse transform is a cell permutation (hence
+preserves the uniform law).  When the index poset's cover graph is a
+tree, the tables can instead be glued edge by edge from integer
+transports of cell counts, with no coupling at all.
 
 The second half of the module decides whether an index poset admits the
 construction at all: build the two interlacing graphs on its extremal
@@ -25,7 +26,6 @@ from typing import Mapping
 
 from .coupling import Coupling, MeasureSystem, Verdict, integer_transport
 from .errors import (
-    ContractViolation,
     DomainMismatch,
     GridMismatch,
     InfeasibleInput,
@@ -61,15 +61,6 @@ class CellPermutation:
 
     def is_identity(self) -> bool:
         return all(p == i for i, p in enumerate(self.perm))
-
-    def apply_cell(self, i: int) -> int:
-        return self.perm[i]
-
-    def apply(self, t: Fraction) -> Fraction:
-        if not 0 <= t < 1:
-            raise ValueError(f"t={t} outside [0, 1)")
-        i = int(t * self.L)
-        return (self.perm[i] + (t * self.L - i)) / self.L
 
 
 def common_grid(*objects) -> int:
@@ -117,6 +108,15 @@ def identity_synchronization(system: MeasureSystem,
     return {a: CellPermutation.identity(L) for a in system.index_poset.elements}
 
 
+def raw_tables(system: MeasureSystem, extension: LinearExtension,
+               ) -> tuple[int, dict[str, tuple[str, ...]]]:
+    """The common grid and, per index, the raw inverse transform along
+    ``extension``: the table that the identity family composes to."""
+    L = bounded_grid(common_grid(system))
+    return L, {a: cell_states(system.measure_of(a), extension, L)
+               for a in system.index_poset.elements}
+
+
 def glued_tables(system: MeasureSystem, tree: RootedTree,
                  extension: LinearExtension,
                  ) -> tuple[int, dict[str, tuple[str, ...]]] | None:
@@ -161,19 +161,14 @@ def glued_tables(system: MeasureSystem, tree: RootedTree,
     return L, tables
 
 
-def synchronize_from_coupling(system: MeasureSystem, coupling: Coupling,
-                              extension: LinearExtension,
-                              ) -> dict[str, CellPermutation]:
-    """Turn a monotone coupling into one cell permutation per index.
-
-    Expand the atoms into unit cells, sorted by the extension ranks of
-    their tuples; each index in turn sends those cells into the interval
-    its inverse transform dedicates to the atom's state there.  Counts
-    match exactly because the coupling marginals do, which is checked
-    rather than assumed (:class:`ContractViolation` otherwise).  Pointwise
-    order of the composed maps is then inherited from atom monotonicity
-    cell by cell, whatever the extension.
-    """
+def coupling_tables(system: MeasureSystem, coupling: Coupling,
+                    extension: LinearExtension,
+                    ) -> tuple[int, dict[str, tuple[str, ...]]]:
+    """The grid size and the cell table of a coupling: its atoms, sorted
+    by the extension ranks of their tuples, take weight times L
+    consecutive cells each, so a monotone coupling gives a table ordered
+    on every cell, whatever the extension.  The rows have the system's
+    counts because the marginals, checked here, match it."""
     if coupling.index_order != system.index_poset.elements:
         raise DomainMismatch("coupling indices do not match the system")
     L = bounded_grid(common_grid(system, coupling))
@@ -186,41 +181,34 @@ def synchronize_from_coupling(system: MeasureSystem, coupling: Coupling,
                     f"coupling marginal at {alpha!r} differs from the "
                     f"system measure at state {s!r}")
 
-    pointer: dict[str, dict[str, int]] = {}
-    fence: dict[str, dict[str, int]] = {}
-    for alpha in coupling.index_order:
-        counts = cell_counts(system.measure_of(alpha), L)
-        acc = 0
-        pointer[alpha], fence[alpha] = {}, {}
-        for x in extension.order:
-            pointer[alpha][x] = acc
-            acc += counts[x]
-            fence[alpha][x] = acc
-
-    def rank_key(tup: tuple[str, ...]) -> tuple[int, ...]:
-        return tuple(extension.rank(s) for s in tup)
-
-    perm = {alpha: [-1] * L for alpha in coupling.index_order}
-    g = 0
-    for tup, w in sorted(coupling.atoms.items(), key=lambda kv: rank_key(kv[0])):
+    rank = extension.rank
+    rows: list[list[str]] = [[] for _ in coupling.index_order]
+    for tup, w in sorted(coupling.atoms.items(),
+                         key=lambda kv: tuple(map(rank, kv[0]))):
         n = w * L
         if n.denominator != 1:
             raise GridMismatch(f"grid of {L} cells cannot carry weight {w}")
-        n = int(n)
-        for i, alpha in enumerate(coupling.index_order):
-            p = pointer[alpha][tup[i]]
-            if p + n > fence[alpha][tup[i]]:
-                raise ContractViolation(
-                    f"atoms overfill the cells of {tup[i]!r} at {alpha!r}",
-                    (alpha, tup[i]))
-            for k in range(n):
-                perm[alpha][g + k] = p + k
-            pointer[alpha][tup[i]] = p + n
-        g += n
-    if g != L:
-        raise ContractViolation(f"atoms fill {g} of {L} cells", g)
-    return {alpha: CellPermutation(L, tuple(cells))
-            for alpha, cells in perm.items()}
+        for row, s in zip(rows, tup):
+            row += [s] * n.numerator
+    return L, dict(zip(coupling.index_order, map(tuple, rows)))
+
+
+def synchronize_from_coupling(system: MeasureSystem, coupling: Coupling,
+                              extension: LinearExtension,
+                              ) -> dict[str, CellPermutation]:
+    """The cell table of a monotone coupling (:func:`coupling_tables`),
+    written as one cell permutation per index: the raw inverse transform
+    is the row stably sorted by extension rank, and ``phi_alpha`` sends
+    cell ``i`` to the place that sort gives it."""
+    L, tables = coupling_tables(system, coupling, extension)
+    phis = {}
+    for alpha, row in tables.items():
+        ranks = list(map(extension.rank, row))
+        perm = [0] * L
+        for j, i in enumerate(sorted(range(L), key=ranks.__getitem__)):
+            perm[i] = j
+        phis[alpha] = CellPermutation(L, tuple(perm))
+    return phis
 
 
 @dataclass(frozen=True)
@@ -249,12 +237,12 @@ def composed_tables(system: MeasureSystem,
     tables = {}
     for alpha, phi in phis.items():
         raw = cell_states(system.measure_of(alpha), extension, L)
-        tables[alpha] = tuple(raw[phi.apply_cell(i)] for i in range(L))
+        tables[alpha] = tuple(map(raw.__getitem__, phi.perm))
     return L, tables
 
 
-def _violations(system: MeasureSystem, L: int,
-                tables: Mapping[str, tuple[str, ...]]):
+def table_violations(system: MeasureSystem, L: int,
+                     tables: Mapping[str, tuple[str, ...]]):
     """Cells on which a comparable index pair maps out of order, cell-major."""
     pairs = system.index_poset.strict_pairs()
     S = system.state_poset
@@ -287,7 +275,7 @@ def check_cell_tables(system: MeasureSystem, L: int,
     if all(all(map(leq, tables[a][:L], tables[b][:L]))
            for a, b in covers(system.index_poset)):
         return Verdict(True)
-    return Verdict(False, next(_violations(system, L, tables)))
+    return Verdict(False, next(table_violations(system, L, tables)))
 
 
 def synchronization_violations(system: MeasureSystem,
@@ -296,7 +284,8 @@ def synchronization_violations(system: MeasureSystem,
                                ) -> tuple[Violation, ...]:
     """Every cell on which some comparable pair maps out of order,
     scanned cell by cell."""
-    return tuple(_violations(system, *composed_tables(system, phis, extension)))
+    return tuple(table_violations(
+        system, *composed_tables(system, phis, extension)))
 
 
 def verify_synchronized(system: MeasureSystem,
@@ -313,9 +302,6 @@ class InterlacingGraph:
 
     vertices: tuple[str, ...]
     edges: frozenset[frozenset[str]]
-
-    def degree(self, v: str) -> int:
-        return sum(1 for e in self.edges if v in e)
 
 
 def _interlacing(poset: Poset) -> InterlacingGraph:

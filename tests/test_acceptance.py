@@ -239,7 +239,7 @@ def test_criterion_8_exact_marginals_everywhere(w6_system, psi,
         for alpha, phi in phis.items():
             mu = system.measure_of(alpha)
             raw = cell_states(mu, extension, phi.L)
-            composed = Counter(raw[phi.apply_cell(i)] for i in range(phi.L))
+            composed = Counter(raw[phi.perm[i]] for i in range(phi.L))
             for s in system.state_poset.elements:
                 assert composed.get(s, 0) == mu.of(s) * phi.L
         cases += 1

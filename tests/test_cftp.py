@@ -39,6 +39,7 @@ from monosync.errors import (
     DomainMismatch,
     GridMismatch,
     MonosyncError,
+    NotCoalescing,
     NotErgodic,
     NotStochMonotone,
     SizeLimit,
@@ -56,6 +57,7 @@ from monosync.generate import (
 from monosync.measure import rational_measure
 from monosync.poset import (
     PosetClass,
+    antichain,
     chain,
     classify,
     default_root,
@@ -593,3 +595,54 @@ def test_step_back_sampler_matches_doubling_oracle(seed):
                       check_ergodic=check_ergodic)
         got = outcome(cftp_sample, gc, seed, **kwargs)
         assert got == outcome(doubling_cftp_sample, gc, seed, **kwargs)
+
+
+def merged_by_some_sequence(gc, states):
+    """Whether some cell sequence maps every state of ``states`` to one,
+    by a search over the images of that set (exponential; small tables)."""
+    cols = doubling_columns(gc)
+    start = frozenset(map(gc.state_poset.index, states))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        image = frontier.pop()
+        if len(image) <= 1:
+            return True
+        for col in cols:
+            after = frozenset(col[i] for i in image)
+            if after not in seen:
+                seen.add(after)
+                frontier.append(after)
+    return False
+
+
+@given(seeds)
+@settings(max_examples=300, deadline=None)
+def test_coalescence_verdict_matches_image_search(seed):
+    rng = random.Random(seed)
+    gc = (random_table(rng) if rng.random() < 0.7
+          else random_monotone_table(rng)[0])
+    verdict = gc._coalescing
+    assert bool(verdict) == merged_by_some_sequence(
+        gc, gc.state_poset.elements)
+    if not verdict:  # the witness pair itself can never be merged
+        kind, *pair = verdict.witness
+        assert kind == "apart" and not merged_by_some_sequence(gc, pair)
+
+
+def test_table_that_never_coalesces_is_refused():
+    # two incomparable states with uniform rows: the LP route swaps them
+    # on one cell, so every map over any number of steps is a bijection
+    S = antichain(("a", "b"))
+    half = rational_measure(S.elements, {"a": "1/2", "b": "1/2"})
+    gc = build_grand_coupling(kernel(S, {"a": half, "b": half}))
+    assert isinstance(gc, GrandCoupling)
+    assert gc.update == {"a": ("a", "b"), "b": ("b", "a")}
+    apart = ("apart", "a", "b")  # ergodic, but no sequence merges a and b
+    assert gc._ergodic.witness == gc._coalescing.witness == apart
+    for sample in (cftp_sample, doubling_cftp_sample):
+        with pytest.raises(NotCoalescing) as err:
+            sample(gc, seed=1)
+        assert str(err.value) == "no cell sequence merges 'a' and 'b'"
+    with pytest.raises(NotCoalescing):
+        sample_many(gc, seed=1, n=2)

@@ -165,6 +165,26 @@ def test_cftp_not_ergodic(capsys, data_dir, tmp_path):
     assert rc == 1 and out[0].startswith("not ergodic:")
 
 
+def test_cftp_table_that_never_coalesces_exits_false(tmp_path):
+    # two incomparable states, both rows uniform: the LP route's table
+    # swaps the states on one of its two cells, so no draw ever stops.  A
+    # fresh process with a timeout: a hang fails here instead of hanging
+    # the suite
+    (tmp_path / "anti.poset").write_text("element a\nelement b\n")
+    (tmp_path / "rows.measures").write_text(
+        "measure u\nmass a 1/2\nmass b 1/2\n")
+    kern = tmp_path / "anti.kernel"
+    kern.write_text("states anti.poset\nmeasures rows.measures\n"
+                    "assign a u\nassign b u\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "monosync.cli", "cftp", "--kernel", str(kern),
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=package_env(), timeout=60)
+    assert done.returncode == 1 and done.stderr == ""
+    assert done.stdout == (
+        "not coalescing: no cell sequence merges 'a' and 'b'\n")
+
+
 def test_cftp_not_monotone_kernel(capsys, data_dir, tmp_path):
     (tmp_path / "rows.measures").write_text(
         serialize_measures({
@@ -205,6 +225,32 @@ def test_input_errors(capsys, data_dir, tmp_path):
                      "--system", str(data_dir / "w6.system"),
                      "--child-order", "w:z,v", "--out", str(tmp_path))
     assert rc == 2 and "bad --child-order" in err
+
+
+@pytest.mark.parametrize("command", ["check", "synchronize"])
+def test_empty_index_poset_is_input_error(capsys, data_dir, tmp_path,
+                                         command):
+    (tmp_path / "empty.poset").write_text("")
+    system = tmp_path / "empty.system"
+    system.write_text(f"states {data_dir / 'chain2.poset'}\n"
+                      f"measures {data_dir / 'chain2.measures'}\n"
+                      "index empty.poset\n")
+    rc, out, err = run(capsys, command, "--system", str(system),
+                       "--out", str(tmp_path))
+    assert rc == 2 and out == []
+    assert err == f"error: {system}:3: index poset has no elements\n"
+    assert list(tmp_path.glob("*.svg")) == []
+
+
+def test_empty_kernel_is_input_error(capsys, tmp_path):
+    (tmp_path / "empty.poset").write_text("")
+    (tmp_path / "none.measures").write_text("")
+    kern = tmp_path / "empty.kernel"
+    kern.write_text("states empty.poset\nmeasures none.measures\n")
+    rc, out, err = run(capsys, "cftp", "--kernel", str(kern),
+                       "--out", str(tmp_path))
+    assert rc == 2 and out == []
+    assert err == f"error: {kern}:1: state poset has no elements\n"
 
 
 def test_non_utf8_file_is_input_error(capsys, tmp_path):

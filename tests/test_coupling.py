@@ -67,6 +67,8 @@ def test_measure_system_validation(w6, p1, p2, pair_poset):
     other = rational_measure(("q",), {"q": 1})
     with pytest.raises(DomainMismatch):
         measure_system(pair_poset, w6, {"1": p1, "2": other})
+    with pytest.raises(DomainMismatch, match="no elements"):
+        measure_system(antichain(()), w6, {})
 
 
 def test_showcase_dominance(p1, p2, w6):
