@@ -174,7 +174,7 @@ def build_grand_coupling(kern: Kernel,
     * a path (class Z): the raw inverse transforms along the rooted
       extension are already ordered (:func:`raw_tables`) when the
       kernel is stochastically monotone, so the table is built first and
-      the up-sets are scanned only when its check fails;
+      monotonicity is decided only when its check fails;
     * any other tree (classes W and BY): the rows are glued along the
       rooted cover tree by integer transports of cell counts
       (:func:`glued_tables`), with no tuple enumeration and no LP;
@@ -213,7 +213,7 @@ def build_grand_coupling(kern: Kernel,
 
     gc = GrandCoupling(L, poset, update)
     checked = check_grand_coupling(kern, gc)
-    if not checked:  # every route falls back on the same up-set scan
+    if not checked:  # every route falls back on the same verdict
         _require_stoch_monotone(system)
         raise ContractViolation("update table breaks its contract",
                                 checked.witness)

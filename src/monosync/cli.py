@@ -45,7 +45,7 @@ from .formats import (
     serialize_coupling,
     serialize_phi,
 )
-from .poset import DEFAULT_UPSET_CAP, classify, covers, default_root, root_tree
+from .poset import classify, covers, default_root, root_tree
 from .svg import svg_bands, svg_permutation
 from .synchronize import (
     composed_tables,
@@ -75,12 +75,11 @@ class JobConfig:
     child_orders: dict[str, tuple[str, ...]] = field(default_factory=dict)
     seed: int = 0
     samples: int = 1
-    cap_upsets: int = DEFAULT_UPSET_CAP
     cap_tuples: int = DEFAULT_TUPLE_CAP
     cap_epochs: int = DEFAULT_MAX_EPOCH
 
     def __post_init__(self):
-        for name in ("samples", "cap_upsets", "cap_tuples", "cap_epochs"):
+        for name in ("samples", "cap_tuples", "cap_epochs"):
             if getattr(self, name) <= 0:
                 raise MonosyncError(f"{name.replace('_', '-')} must be positive")
 
@@ -125,7 +124,7 @@ def cmd_classify(cfg: JobConfig) -> int:
 
 def cmd_check(cfg: JobConfig) -> int:
     system = parse_system(cfg.system)
-    verdict = is_stoch_monotone(system, cfg.cap_upsets)
+    verdict = is_stoch_monotone(system)
     if not verdict:
         alpha, beta, upset = verdict.witness
         print("not stochastically monotone")
@@ -219,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="monotonicity and realizability")
     p_check.add_argument("--system", required=True)
     p_check.add_argument("--out", default=".")
-    p_check.add_argument("--cap-upsets", type=int, default=DEFAULT_UPSET_CAP)
     p_check.add_argument("--cap-tuples", type=int, default=DEFAULT_TUPLE_CAP)
 
     p_sync = sub.add_parser("synchronize", help="construct and verify phis")
@@ -256,7 +254,6 @@ def _config(args: argparse.Namespace) -> JobConfig:
         "child_orders": _parse_child_orders(getattr(args, "child_order", [])),
         "seed": getattr(args, "seed", 0),
         "samples": getattr(args, "samples", 1),
-        "cap_upsets": getattr(args, "cap_upsets", DEFAULT_UPSET_CAP),
         "cap_tuples": getattr(args, "cap_tuples", DEFAULT_TUPLE_CAP),
         "cap_epochs": getattr(args, "cap_epochs", DEFAULT_MAX_EPOCH),
     }

@@ -2,11 +2,12 @@
 
 Three layers, all exact:
 
-* pairwise dominance, decided by enumerating up-sets or, independently,
-  by an integer max-flow (Strassen's characterization: dominance holds
-  iff a coupling concentrated on ordered pairs exists);
+* pairwise dominance, decided by one integer max-flow (Strassen's
+  characterization: dominance holds iff a coupling concentrated on
+  ordered pairs exists), whose minimum cut is the violating up-set when
+  it fails, and whose flow is the Strassen coupling when it holds;
 * systems of measures over an index poset, with a witness-producing
-  monotonicity check;
+  monotonicity check, one max-flow per cover pair;
 * the ground-truth oracle ``realize``: a feasibility LP over all
   order-preserving assignments, returning either an exact coupling or a
   Farkas certificate that no monotone realization exists.
@@ -14,7 +15,6 @@ Three layers, all exact:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 from .errors import ContractViolation, DomainMismatch, SizeLimit
 from .linprog import FarkasVector, integral, solve_feasibility
 from .measure import F0, RationalMeasure
-from .poset import DEFAULT_UPSET_CAP, Poset, chain, covers, up_sets
+from .poset import Poset, chain, covers
 
 DEFAULT_TUPLE_CAP = 10**6
 
@@ -101,95 +101,144 @@ class Verdict:
         return self.ok
 
 
-def _numerators(measures) -> list[dict[str, int]]:
-    """The masses of every measure as integer numerators over one common
-    denominator, the lcm of them all: sums of them compare as the masses do."""
-    _, ints = integral([m for p in measures for m in p.mass.values()])
-    it = iter(ints)
-    return [{x: next(it) for x in p.mass} for p in measures]
+def _numerators(measures: Sequence[RationalMeasure],
+                elements: Sequence[str]) -> list[list[int]]:
+    """The masses of every measure on ``elements``, in that order, as
+    integer numerators over one common denominator, the lcm of them all:
+    sums of them compare as the masses do."""
+    _, ints = integral([p.of(x) for p in measures for x in elements])
+    n = len(elements)
+    return [ints[k:k + n] for k in range(0, len(ints), n)]
+
+
+def _order_arcs(poset: Poset) -> list[tuple[int, int]]:
+    """Every ``(i, j)`` with ``elements[i] <= elements[j]``, sorted: the
+    arcs of a transport up the order."""
+    return sorted((poset.index(a), poset.index(b)) for a, b in poset.relation)
+
+
+def _augment(supply: Sequence[int], demand: Sequence[int],
+             arcs: Sequence[tuple[int, int]],
+             ) -> tuple[list[int], list[int]]:
+    """Maximum flow of integer ``supply[i]`` onto ``demand[j]`` along the
+    distinct ``arcs`` ``(i, j)``, by breadth-first augmenting paths.
+
+    Source -> i has capacity ``supply[i]``, j -> sink ``demand[j]``, and
+    every arc the total supply.  A residual search starts from the supply
+    nodes left with residual supply, in index order; from a supply node
+    it follows its arcs in the order of ``arcs``, and from a demand node
+    first the sink and then, backwards, the arcs into it in the order of
+    ``arcs``.  Returns the flow of each arc, aligned with ``arcs``, and
+    the supply nodes, ascending, that the last residual search reached:
+    none exactly when the whole supply moved.
+    """
+    n, total = len(supply), sum(supply)
+    tail = [i for i, _ in arcs]
+    head = [j for _, j in arcs]
+    out: list[list[int]] = [[] for _ in supply]  # arcs leaving each i
+    into: list[list[int]] = [[] for _ in demand]  # arcs entering each j
+    for k, (i, j) in enumerate(arcs):
+        out[i].append(k)
+        into[j].append(k)
+    flow = [0] * len(arcs)
+    sent = [0] * n  # source -> i
+    met = [0] * len(demand)  # j -> sink
+    while True:
+        # the arc each node was reached by, -1 for the source, -2 unreached
+        via_i = [-2] * n
+        via_j = [-2] * len(demand)
+        queue = [i for i in range(n) if sent[i] < supply[i]]
+        for i in queue:
+            via_i[i] = -1
+        end = -1
+        for u in queue:  # grows as it is read; demand node j is n + j
+            if u < n:
+                for k in out[u]:
+                    j = head[k]
+                    if via_j[j] == -2 and flow[k] < total:
+                        via_j[j] = k
+                        queue.append(n + j)
+                continue
+            j = u - n
+            if met[j] < demand[j]:
+                end = j
+                break
+            for k in into[j]:
+                i = tail[k]
+                if via_i[i] == -2 and flow[k] > 0:
+                    via_i[i] = k
+                    queue.append(i)
+        if end < 0:
+            return flow, [i for i in range(n) if via_i[i] != -2]
+
+        j = end
+        bottleneck = demand[j] - met[j]
+        while True:
+            k = via_j[j]
+            bottleneck = min(bottleneck, total - flow[k])
+            i = tail[k]
+            k = via_i[i]
+            if k < 0:
+                bottleneck = min(bottleneck, supply[i] - sent[i])
+                break
+            bottleneck = min(bottleneck, flow[k])
+            j = head[k]
+        j = end
+        met[j] += bottleneck
+        while True:
+            k = via_j[j]
+            flow[k] += bottleneck
+            i = tail[k]
+            k = via_i[i]
+            if k < 0:
+                sent[i] += bottleneck
+                break
+            flow[k] -= bottleneck
+            j = head[k]
+
+
+def _up_closure(poset: Poset, arcs: Sequence[tuple[int, int]],
+                reached: Sequence[int]) -> frozenset[str]:
+    """The up-set generated by the elements at positions ``reached``."""
+    start = set(reached)
+    return frozenset(poset.elements[j] for i, j in arcs if i in start)
 
 
 def dominance_violation(p1: RationalMeasure, p2: RationalMeasure,
-                        poset: Poset, cap: int = DEFAULT_UPSET_CAP,
-                        ) -> frozenset[str] | None:
-    """An up-set with ``p1(U) > p2(U)``, or None when ``p1`` is dominated."""
-    n1, n2 = _numerators((p1, p2))
-    for u in up_sets(poset, cap):
-        if sum(map(n1.__getitem__, u)) > sum(map(n2.__getitem__, u)):
-            return u
-    return None
+                        poset: Poset) -> frozenset[str] | None:
+    """The smallest up-set ``U`` maximizing ``p1(U) - p2(U)`` when that
+    maximum is positive, or None when ``p1`` is dominated.
+
+    One integer transport of ``p1`` onto ``p2`` up the order decides it
+    (Strassen 1965); ``U`` is the min cut that :func:`is_stoch_monotone`
+    describes.
+    """
+    arcs = _order_arcs(poset)
+    n1, n2 = _numerators((p1, p2), poset.elements)
+    reached = _augment(n1, n2, arcs)[1]
+    return _up_closure(poset, arcs, reached) if reached else None
 
 
 def stochastically_leq(p1: RationalMeasure, p2: RationalMeasure,
-                       poset: Poset, cap: int = DEFAULT_UPSET_CAP) -> bool:
+                       poset: Poset) -> bool:
     """True iff ``p1(U) <= p2(U)`` for every up-set ``U``."""
-    return dominance_violation(p1, p2, poset, cap) is None
+    return dominance_violation(p1, p2, poset) is None
 
 
 def integer_transport(supply: Sequence[int], demand: Sequence[int],
                       arcs: Sequence[tuple[int, int]],
                       ) -> dict[tuple[int, int], int] | None:
-    """Move integer ``supply[i]`` onto ``demand[j]`` along the allowed
-    ``arcs`` ``(i, j)``; None when not every unit can be moved.
+    """Move integer ``supply[i]`` onto ``demand[j]`` along the allowed,
+    distinct ``arcs`` ``(i, j)``; None when not every unit can be moved.
 
-    Bipartite max-flow: source -> i at capacity ``supply[i]``, j -> sink
-    at ``demand[j]``, and an arc i -> j for every allowed pair whose
-    capacity, the total supply, never binds.  Breadth-first augmentation
-    on integers, so the flow is exact and the run terminates.  Returns the
-    positive flow of each arc, in the order of ``arcs``.
+    A bipartite max-flow by breadth-first augmentation on integers
+    (:func:`_augment`), so the flow is exact and the run terminates.
+    Returns the positive flow of each arc, in the order of ``arcs``.
     """
-    n = len(supply)
-    source, sink = n + len(demand), n + len(demand) + 1
-    total = sum(supply)
-    cap: dict[tuple[int, int], int] = {}
-    for i, c in enumerate(supply):
-        if c > 0:
-            cap[(source, i)] = c
-    for j, c in enumerate(demand):
-        if c > 0:
-            cap[(n + j, sink)] = c
-    for i, j in arcs:
-        cap[(i, n + j)] = total
-    adj: dict[int, list[int]] = {}
-    for (u, v) in cap:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    flow: dict[tuple[int, int], int] = dict.fromkeys(cap, 0)
-
-    def residual(u: int, v: int) -> int:
-        if (u, v) in cap:
-            return cap[(u, v)] - flow[(u, v)]
-        return flow.get((v, u), 0)
-
-    value = 0
-    while True:
-        prev: dict[int, int] = {source: source}
-        queue = deque([source])
-        while queue and sink not in prev:
-            u = queue.popleft()
-            for v in adj.get(u, ()):
-                if v not in prev and residual(u, v) > 0:
-                    prev[v] = u
-                    queue.append(v)
-        if sink not in prev:
-            break
-        path = [sink]
-        while path[-1] != source:
-            path.append(prev[path[-1]])
-        path.reverse()
-        bottleneck = min(
-            residual(path[k], path[k + 1]) for k in range(len(path) - 1))
-        for k in range(len(path) - 1):
-            u, v = path[k], path[k + 1]
-            if (u, v) in cap:
-                flow[(u, v)] += bottleneck
-            else:
-                flow[(v, u)] -= bottleneck
-        value += bottleneck
-
-    if value != total or total != sum(demand):
+    flow, short = _augment(supply, demand, arcs)
+    if short or sum(supply) != sum(demand):
         return None
-    return {(i, j): f for (i, j) in arcs if (f := flow[(i, n + j)]) > 0}
+    return {arc: f for arc, f in zip(arcs, flow) if f > 0}
 
 
 def strassen_coupling(p1: RationalMeasure, p2: RationalMeasure,
@@ -203,52 +252,48 @@ def strassen_coupling(p1: RationalMeasure, p2: RationalMeasure,
     els = poset.elements
     n = len(els)
     scale, ints = integral([p.of(x) for p in (p1, p2) for x in els])
-    arcs = [(i, j) for i, a in enumerate(els) for j, b in enumerate(els)
-            if poset.leq(a, b)]
-    flow = integer_transport(ints[:n], ints[n:], arcs)
+    flow = integer_transport(ints[:n], ints[n:], _order_arcs(poset))
     if flow is None:
         return None
     return Coupling(PAIR_INDICES, {
         (els[i], els[j]): Fraction(f, scale) for (i, j), f in flow.items()})
 
 
-def is_stoch_monotone(system: MeasureSystem,
-                      cap: int = DEFAULT_UPSET_CAP) -> Verdict:
+def is_stoch_monotone(system: MeasureSystem) -> Verdict:
     """Check every comparable index pair for stochastic dominance.
 
-    The verdict is decided on the cover pairs of the index poset, which
-    is exact because dominance is transitive.  The witness on failure is
-    ``(alpha, beta, up_set)`` with ``alpha < beta`` but
-    ``P_alpha(U) > P_beta(U)``: the first one in pair order, then up-set
-    order, over every comparable pair.  Each ``P_alpha(U)`` is summed
-    once, on first use, as an integer numerator over the lcm of all the
-    system's masses, and shared by every pair that contains ``alpha``.
+    ``P_alpha <= P_beta`` holds iff an integer transport of ``P_alpha``
+    onto ``P_beta`` along ``a <= b`` moves all the mass (Strassen 1965),
+    both over the lcm of all the system's masses.  The verdict takes one
+    transport per cover pair of the index poset, which is exact because
+    dominance is transitive.  On failure the witness is
+    ``(alpha, beta, U)`` for the first pair ``alpha < beta`` in
+    ``strict_pairs`` order whose transport falls short, each pair's
+    transport run once.  ``U`` is the up-closure of the supply states
+    that the last residual search reached: by the max-flow min-cut
+    theorem it is the unique smallest up-set maximizing
+    ``P_alpha(U) - P_beta(U)``, and that maximum is the positive
+    shortfall.  This is the canonical witness.
     """
-    upsets = up_sets(system.state_poset, cap)
+    S = system.state_poset
+    arcs = _order_arcs(S)
     indices = system.index_poset.elements
     numer = dict(zip(indices, _numerators(
-        [system.measure_of(a) for a in indices])))
-    masses: dict[str, list[int | None]] = {
-        a: [None] * len(upsets) for a in indices}
+        [system.measure_of(a) for a in indices], S.elements)))
+    reached: dict[tuple[str, str], list[int]] = {}
 
-    def violations(pairs):
-        for alpha, beta in pairs:
-            na, nb = numer[alpha].__getitem__, numer[beta].__getitem__
-            ma, mb = masses[alpha], masses[beta]
-            for k, u in enumerate(upsets):
-                a = ma[k]
-                if a is None:
-                    a = ma[k] = sum(map(na, u))
-                b = mb[k]
-                if b is None:
-                    b = mb[k] = sum(map(nb, u))
-                if a > b:
-                    yield alpha, beta, u
-                    break
+    def short(pair: tuple[str, str]) -> list[int]:
+        if pair not in reached:
+            alpha, beta = pair
+            reached[pair] = _augment(numer[alpha], numer[beta], arcs)[1]
+        return reached[pair]
 
-    if next(violations(covers(system.index_poset)), None) is None:
+    if not any(map(short, covers(system.index_poset))):
         return Verdict(True)
-    return Verdict(False, next(violations(system.index_poset.strict_pairs())))
+    # a failing cover pair is a strict pair, so one is found
+    alpha, beta = next(filter(short, system.index_poset.strict_pairs()))
+    return Verdict(False, (alpha, beta,
+                           _up_closure(S, arcs, short((alpha, beta)))))
 
 
 def monotone_tuples(index_poset: Poset, state_poset: Poset,

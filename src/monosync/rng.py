@@ -31,6 +31,8 @@ class CellSampler:
     def __init__(self, L: int, seed: int, stream: int = 0):
         if L <= 0:
             raise ValueError(f"grid size {L} must be positive")
+        if L > 2**_WORD:  # no word could be accepted: cell_at would spin
+            raise ValueError(f"grid size {L} exceeds 2**{_WORD}")
         self._L = L
         key = ((seed % 2**64).to_bytes(8, "big")
                + (stream % 2**64).to_bytes(8, "big"))

@@ -37,7 +37,7 @@ from monosync.generate import (
     random_synchronizable_poset,
     search_infeasible_diamond,
 )
-from monosync.poset import default_root, root_tree
+from monosync.poset import default_root, root_tree, up_sets
 from monosync.synchronize import (
     Violation,
     cell_states,
@@ -111,7 +111,9 @@ def test_criterion_3_dominance_flow_equivalence():
         q = random_measure(rng, states, rng.randrange(1, 13))
         dominated = stochastically_leq(p, q, states)
         coupling = strassen_coupling(p, q, states)
-        assert dominated == (coupling is not None)
+        # the definition, read off every up-set, against the flow
+        by_upsets = all(p.of_set(u) <= q.of_set(u) for u in up_sets(states))
+        assert dominated == by_upsets == (coupling is not None)
         if coupling is not None:
             check_coupling(pair_system(p, q, states), coupling)
             feasible += 1

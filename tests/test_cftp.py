@@ -216,14 +216,15 @@ def fence(n):
 
 
 def test_fence_kernel_builds_without_the_up_sets():
-    # a 30-state fence has more up-sets than DEFAULT_UPSET_CAP, so the
-    # monotonicity scan alone would end in SizeLimit
+    # a 30-state fence has more up-sets than DEFAULT_UPSET_CAP; neither
+    # the build nor the monotonicity verdict enumerates them
     S = fence(30)
     assert classify(S) is PosetClass.Z
     kern = half_stay_half_uniform(S)
     gc = build_grand_coupling(kern)
     assert isinstance(gc, GrandCoupling) and gc.L == 60
     assert check_grand_coupling(kern, gc)
+    assert is_stoch_monotone(kern.to_system())
 
 
 def test_non_monotone_fence_kernel_gives_the_scan_witness():

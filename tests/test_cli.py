@@ -2,6 +2,7 @@
 
 import gc
 import os
+import random
 import subprocess
 import sys
 
@@ -9,14 +10,18 @@ import pytest
 
 from monosync import cli
 from monosync.cli import build_parser, main
+from monosync.coupling import check_coupling, pair_system
 from monosync.formats import (
     parse_certificate,
     parse_coupling,
     parse_phi,
     serialize_measures,
     serialize_poset,
+    serialize_system,
 )
+from monosync.generate import random_class_w, random_measure, up_moves
 from monosync.measure import rational_measure
+from monosync.poset import chain
 
 from conftest import IDENTITY_15, PHI2_15, SHOWCASE_ATOMS, package_env
 
@@ -99,6 +104,46 @@ def test_check_not_monotone(capsys, data_dir, tmp_path):
     assert rc == 1
     assert out[0] == "not stochastically monotone"
     assert out[1] == "witness 1 2 hi"
+
+
+def wide_pair_files(tmp_path, n, dominated):
+    """The wide pair system on ``n`` class-W states: a measure and either
+    an upward push of it or an independent draw."""
+    rng = random.Random(3)
+    S = random_class_w(rng, n)
+    p = random_measure(rng, S, 64)
+    q = up_moves(rng, p, S, 40, 64) if dominated else random_measure(rng, S, 64)
+    (tmp_path / "pair.poset").write_text(serialize_poset(chain(("1", "2"))))
+    (tmp_path / "states.poset").write_text(serialize_poset(S))
+    (tmp_path / "pq.measures").write_text(serialize_measures({"p": p, "q": q}))
+    path = tmp_path / "wide.system"
+    path.write_text(serialize_system("pair.poset", "states.poset",
+                                     ["pq.measures"], {"1": "p", "2": "q"}))
+    return pair_system(p, q, S), path
+
+
+@pytest.mark.parametrize("dominated", [True, False])
+def test_check_answers_on_a_wide_state_poset(capsys, tmp_path, dominated):
+    # 28 class-W states have more up-sets than an enumeration could take;
+    # the verdict is one max-flow
+    system, path = wide_pair_files(tmp_path, 28, dominated)
+    rc, out, err = run(capsys, "check", "--system", str(path),
+                       "--out", str(tmp_path))
+    assert err == ""
+    if dominated:
+        assert rc == 0 and out[:2] == ["stochastically monotone", "realizable"]
+        check_coupling(system, parse_coupling(tmp_path / "coupling.txt",
+                                              ("1", "2")))
+    else:
+        assert rc == 1 and out[0] == "not stochastically monotone"
+        alpha, beta, names = out[1].split()[1:]
+        upset = frozenset(names.split(","))
+        S = system.state_poset
+        assert (alpha, beta) == ("1", "2")
+        assert all(b in upset for a in upset for b in S.elements
+                   if S.leq(a, b))
+        assert (system.measure_of("1").of_set(upset)
+                > system.measure_of("2").of_set(upset))
 
 
 def test_synchronize_showcase(capsys, data_dir, tmp_path):
@@ -352,7 +397,7 @@ def test_parser_is_reused_without_leaking_options(capsys, monkeypatch,
     errs = []
     for _ in range(2):
         with pytest.raises(SystemExit) as stop:
-            main(["check", "--cap-upsets", "x"])
+            main(["check", "--cap-tuples", "x"])
         assert stop.value.code == 2
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1] and "invalid int value" in errs[0]

@@ -18,6 +18,7 @@ from monosync.coupling import (
     InfeasibilityCertificate,
     check_coupling,
     dominance_violation,
+    integer_transport,
     is_stoch_monotone,
     measure_system,
     monotone_tuples,
@@ -43,7 +44,12 @@ from monosync.generate import (
     random_poset,
     up_moves,
 )
-from monosync.linprog import FarkasVector, FeasiblePoint, solve_feasibility
+from monosync.linprog import (
+    FarkasVector,
+    FeasiblePoint,
+    integral,
+    solve_feasibility,
+)
 from monosync.measure import F0, F1, rational_measure
 from monosync.poset import antichain, chain, up_sets, validate_poset
 
@@ -180,11 +186,112 @@ def test_strassen_iff_upset_dominance(seed):
     p = random_measure(rng, poset, rng.randrange(1, 13))
     q = random_measure(rng, poset, rng.randrange(1, 13))
     got = strassen_coupling(p, q, poset)
-    if dominance_violation(p, q, poset) is None:
+    violated = any(p.of_set(u) > q.of_set(u) for u in up_sets(poset))
+    assert (dominance_violation(p, q, poset) is not None) == violated
+    if not violated:
         assert got is not None
         check_coupling(pair_system(p, q, poset), got)
     else:
         assert got is None
+
+
+def kite():
+    """The diamond with a peak above its top: its cover graph has a cycle."""
+    return validate_poset(
+        ("bot", "a", "b", "top", "peak"),
+        [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top"),
+         ("top", "peak")])
+
+
+def oracle_integer_transport(supply, demand, arcs):
+    """The dict-keyed max-flow that ``integer_transport`` ran before its
+    augmenting routine moved onto index lists, kept verbatim."""
+    n = len(supply)
+    source, sink = n + len(demand), n + len(demand) + 1
+    total = sum(supply)
+    cap: dict[tuple[int, int], int] = {}
+    for i, c in enumerate(supply):
+        if c > 0:
+            cap[(source, i)] = c
+    for j, c in enumerate(demand):
+        if c > 0:
+            cap[(n + j, sink)] = c
+    for i, j in arcs:
+        cap[(i, n + j)] = total
+    adj: dict[int, list[int]] = {}
+    for (u, v) in cap:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    flow: dict[tuple[int, int], int] = dict.fromkeys(cap, 0)
+
+    def residual(u: int, v: int) -> int:
+        if (u, v) in cap:
+            return cap[(u, v)] - flow[(u, v)]
+        return flow.get((v, u), 0)
+
+    value = 0
+    while True:
+        prev: dict[int, int] = {source: source}
+        queue = deque([source])
+        while queue and sink not in prev:
+            u = queue.popleft()
+            for v in adj.get(u, ()):
+                if v not in prev and residual(u, v) > 0:
+                    prev[v] = u
+                    queue.append(v)
+        if sink not in prev:
+            break
+        path = [sink]
+        while path[-1] != source:
+            path.append(prev[path[-1]])
+        path.reverse()
+        bottleneck = min(
+            residual(path[k], path[k + 1]) for k in range(len(path) - 1))
+        for k in range(len(path) - 1):
+            u, v = path[k], path[k + 1]
+            if (u, v) in cap:
+                flow[(u, v)] += bottleneck
+            else:
+                flow[(v, u)] -= bottleneck
+        value += bottleneck
+
+    if value != total or total != sum(demand):
+        return None
+    return {(i, j): f for (i, j) in arcs if (f := flow[(i, n + j)]) > 0}
+
+
+@given(seeds)
+@settings(max_examples=150)
+def test_integer_transport_matches_the_dict_flow(seed):
+    rng = random.Random(seed)
+    shape = rng.randrange(4)
+    poset = (diamond() if shape == 0 else kite() if shape == 1 else
+             random_class_w(rng, rng.randrange(4, 13)) if shape == 2 else
+             random_poset(rng, rng.randrange(1, 9)))
+    downward = rng.random() < 0.5
+    order = poset.dual() if downward else poset
+    p = random_measure(rng, poset, rng.randrange(1, 13))
+    if rng.random() < 0.5:  # a dominated pair, on another grid
+        D = 12 * rng.randrange(1, 4)
+        q = up_moves(rng, p, order, rng.randrange(0, 20), D)
+    else:
+        q = random_measure(rng, poset, rng.randrange(1, 13))
+    els = poset.elements
+    n = len(els)
+    _, ints = integral([m.of(x) for m in (p, q) for x in els])
+    supply, demand = ints[:n], ints[n:]
+    arcs = [(i, j) for i, a in enumerate(els) for j, b in enumerate(els)
+            if order.leq(a, b)]
+    got = integer_transport(supply, demand, arcs)
+    want = oracle_integer_transport(supply, demand, arcs)
+    assert got == want and (got is None or list(got) == list(want))
+    _, reached = coupling._augment(supply, demand, arcs)
+    assert (got is None) == bool(reached)
+    if reached:  # the closure along the arcs carries more supply than demand
+        closure = {j for i, j in arcs if i in reached}
+        assert sum(supply[i] for i in closure) > sum(demand[j] for j in closure)
+        assert (dominance_violation(p, q, order)
+                == frozenset(els[j] for j in closure))
 
 
 def test_is_stoch_monotone_witness(chain2):
@@ -198,26 +305,27 @@ def test_is_stoch_monotone_witness(chain2):
 
 
 def brute_stoch_monotone_witness(system):
-    """First (alpha, beta, U) with alpha < beta and P_alpha(U) > P_beta(U),
-    pairs in element order, then up-sets in ``up_sets`` order."""
+    """First pair alpha < beta, in element order, with P_alpha(U) > P_beta(U)
+    for some up-set U, and the smallest up-set maximizing the difference,
+    over ``up_sets``: the min-cut witness, found by enumeration."""
     idx = system.index_poset
+    upsets = up_sets(system.state_poset)
     for alpha in idx.elements:
         for beta in idx.elements:
             if not idx.lt(alpha, beta):
                 continue
-            for u in up_sets(system.state_poset):
-                if (system.measure_of(alpha).of_set(u)
-                        > system.measure_of(beta).of_set(u)):
-                    return (alpha, beta, u)
+            pa, pb = system.measure_of(alpha), system.measure_of(beta)
+            _, ints = integral([pa.of(x) - pb.of(x)
+                                for x in system.state_poset.elements])
+            diff = dict(zip(system.state_poset.elements, ints))
+            gaps = [(sum(map(diff.__getitem__, u)), u) for u in upsets]
+            best = max(g for g, _ in gaps)
+            if best > 0:
+                top = [u for g, u in gaps if g == best]
+                smallest = min(top, key=len)
+                assert all(smallest <= u for u in top)
+                return (alpha, beta, smallest)
     return None
-
-
-def kite():
-    """The diamond with a peak above its top: its cover graph has a cycle."""
-    return validate_poset(
-        ("bot", "a", "b", "top", "peak"),
-        [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top"),
-         ("top", "peak")])
 
 
 @given(seeds)
@@ -227,9 +335,21 @@ def test_is_stoch_monotone_matches_bruteforce(seed):
     shape = rng.randrange(4)  # cyclic cover graphs next to random ones
     index = (diamond() if shape == 0 else kite() if shape == 1 else
              random_poset(rng, rng.randrange(2, 5), rng.uniform(0.4, 1)))
-    states = random_poset(rng, rng.randrange(2, 5))
-    D = rng.randrange(1, 6)
-    measures = dict(random_monotone_system(rng, index, states, D).measures)
+    if rng.random() < 0.25:
+        # wide class-W states, on which random_monotone_system's up-set
+        # scans are slow: each index pushes up a lower index's measure
+        states = random_class_w(rng, rng.randrange(12, 17))
+        measures = {}
+        for alpha in index.linear_order():
+            below = [b for b in measures if index.lt(b, alpha)]
+            measures[alpha] = (
+                up_moves(rng, measures[rng.choice(below)], states,
+                         rng.randrange(0, 20), 12)
+                if below else random_measure(rng, states, 12))
+    else:
+        states = random_poset(rng, rng.randrange(2, 5))
+        D = rng.randrange(1, 6)
+        measures = dict(random_monotone_system(rng, index, states, D).measures)
     for alpha in index.elements:  # break monotonicity here and there,
         if rng.random() < 0.3:    # on a grid of another denominator
             measures[alpha] = random_measure(rng, states, rng.randrange(1, 8))

@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, strategies as st
 
 from monosync.cftp import chi_square_fit
@@ -38,3 +39,13 @@ def test_marginal_uniformity():
                               {"0": "1/3", "1": "1/3", "2": "1/3"})
     _, p = chi_square_fit(counts, target)
     assert p > 0.001
+
+
+def test_largest_grid_draws_and_larger_ones_are_refused():
+    # at L = 2**64 every word is accepted; beyond it none would be, so the
+    # constructor refuses rather than let cell_at loop for ever
+    s = CellSampler(2**64, 5, 0)
+    assert all(0 <= s.cell_at(t) < 2**64 for t in range(1, 20))
+    for L in (2**64 + 1, 2**200):
+        with pytest.raises(ValueError, match="exceeds"):
+            CellSampler(L, 5, 0)
