@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cftp import (
@@ -62,28 +61,6 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 
 
-@dataclass
-class JobConfig:
-    """Everything a command needs, bundled off argparse."""
-
-    command: str
-    poset: str | None = None
-    system: str | None = None
-    kernel: str | None = None
-    out: str = "."
-    root: str | None = None
-    child_orders: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    seed: int = 0
-    samples: int = 1
-    cap_tuples: int = DEFAULT_TUPLE_CAP
-    cap_epochs: int = DEFAULT_MAX_EPOCH
-
-    def __post_init__(self):
-        for name in ("samples", "cap_tuples", "cap_epochs"):
-            if getattr(self, name) <= 0:
-                raise MonosyncError(f"{name.replace('_', '-')} must be positive")
-
-
 def _parse_child_orders(specs: list[str]) -> dict[str, tuple[str, ...]]:
     out: dict[str, tuple[str, ...]] = {}
     for spec in specs:
@@ -91,28 +68,31 @@ def _parse_child_orders(specs: list[str]) -> dict[str, tuple[str, ...]]:
         if not eq or not parent or not kids:
             raise MonosyncError(
                 f"bad --child-order {spec!r}, expected parent=kid1,kid2")
+        if parent in out:
+            raise MonosyncError(f"duplicate --child-order for {parent!r}")
         out[parent] = tuple(kids.split(","))
     return out
 
 
-def _write(cfg: JobConfig, name: str, text: str) -> Path:
-    out_dir = Path(cfg.out)
+def _write(args: argparse.Namespace, name: str, text: str) -> Path:
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / name
     target.write_text(text, encoding="utf-8")
     return target
 
 
-def _not_realizable(cfg: JobConfig, cert: InfeasibilityCertificate) -> int:
+def _not_realizable(args: argparse.Namespace,
+                    cert: InfeasibilityCertificate) -> int:
     """Report an infeasible system and write its certificate."""
     print("not realizable")
-    target = _write(cfg, "certificate.txt", serialize_certificate(cert))
+    target = _write(args, "certificate.txt", serialize_certificate(cert))
     print(f"certificate {target}")
     return EXIT_FALSE
 
 
-def cmd_classify(cfg: JobConfig) -> int:
-    poset = parse_poset(cfg.poset)
+def cmd_classify(args: argparse.Namespace) -> int:
+    poset = parse_poset(args.poset)
     print(f"elements {len(poset)}")
     for a, b in covers(poset):
         print(f"cover {a} {b}")
@@ -122,8 +102,8 @@ def cmd_classify(cfg: JobConfig) -> int:
     return EXIT_OK
 
 
-def cmd_check(cfg: JobConfig) -> int:
-    system = parse_system(cfg.system)
+def cmd_check(args: argparse.Namespace) -> int:
+    system = parse_system(args.system)
     verdict = is_stoch_monotone(system)
     if not verdict:
         alpha, beta, upset = verdict.witness
@@ -131,35 +111,36 @@ def cmd_check(cfg: JobConfig) -> int:
         print(f"witness {alpha} {beta} {','.join(sorted(upset))}")
         return EXIT_FALSE
     print("stochastically monotone")
-    result = realize(system, cfg.cap_tuples)
+    result = realize(system, args.cap_tuples)
     if isinstance(result, InfeasibilityCertificate):
-        return _not_realizable(cfg, result)
+        return _not_realizable(args, result)
     print("realizable")
     print(f"atoms {len(result.atoms)}")
-    target = _write(cfg, "coupling.txt", serialize_coupling(result))
+    target = _write(args, "coupling.txt", serialize_coupling(result))
     print(f"coupling {target}")
     return EXIT_OK
 
 
-def cmd_synchronize(cfg: JobConfig) -> int:
-    system = parse_system(cfg.system)
-    root = cfg.root if cfg.root is not None else default_root(system.state_poset)
-    _, extension = root_tree(system.state_poset, root, cfg.child_orders or None)
+def cmd_synchronize(args: argparse.Namespace) -> int:
+    system = parse_system(args.system)
+    root = args.root if args.root is not None else default_root(system.state_poset)
+    _, extension = root_tree(system.state_poset, root,
+                             args.child_orders or None)
 
     L, naive = raw_tables(system, extension)
     naive_violations = tuple(table_violations(system, L, naive))
     print(f"naive_violations {len(naive_violations)}")
-    _write(cfg, "bands_naive.svg",
+    _write(args, "bands_naive.svg",
            svg_bands(system, L, naive, naive_violations))
 
-    result = realize(system, cfg.cap_tuples)
+    result = realize(system, args.cap_tuples)
     if isinstance(result, InfeasibilityCertificate):
-        return _not_realizable(cfg, result)
+        return _not_realizable(args, result)
     phis = synchronize_from_coupling(system, result, extension)
     for alpha, phi in phis.items():
-        print(f"phi {alpha} {_write(cfg, f'phi_{alpha}.txt', serialize_phi(phi))}")
-        _write(cfg, f"phi_{alpha}.svg", svg_permutation(phi, alpha))
-    _write(cfg, "bands_synchronized.svg",
+        print(f"phi {alpha} {_write(args, f'phi_{alpha}.txt', serialize_phi(phi))}")
+        _write(args, f"phi_{alpha}.svg", svg_permutation(phi, alpha))
+    _write(args, "bands_synchronized.svg",
            svg_bands(system, *composed_tables(system, phis, extension)))
 
     verdict = verify_synchronized(system, phis, extension)
@@ -170,18 +151,18 @@ def cmd_synchronize(cfg: JobConfig) -> int:
     return EXIT_OK
 
 
-def cmd_cftp(cfg: JobConfig) -> int:
-    kern = parse_kernel(cfg.kernel)
+def cmd_cftp(args: argparse.Namespace) -> int:
+    kern = parse_kernel(args.kernel)
     try:
-        built = build_grand_coupling(kern, cfg.cap_tuples)
+        built = build_grand_coupling(kern, args.cap_tuples)
     except NotStochMonotone as e:
         print("not stochastically monotone")
         print(f"witness {e.args[1]} {e.args[2]} {','.join(sorted(e.args[3]))}")
         return EXIT_FALSE
     if isinstance(built, InfeasibilityCertificate):
-        return _not_realizable(cfg, built)
+        return _not_realizable(args, built)
     try:
-        draws = sample_many(built, cfg.seed, cfg.samples, cfg.cap_epochs)
+        draws = sample_many(built, args.seed, args.samples, args.cap_epochs)
     except NotErgodic as e:
         print(f"not ergodic: {e}")
         return EXIT_FALSE
@@ -243,23 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> JobConfig:
-    fields = {
-        "command": args.command,
-        "poset": getattr(args, "poset", None),
-        "system": getattr(args, "system", None),
-        "kernel": getattr(args, "kernel", None),
-        "out": getattr(args, "out", "."),
-        "root": getattr(args, "root", None),
-        "child_orders": _parse_child_orders(getattr(args, "child_order", [])),
-        "seed": getattr(args, "seed", 0),
-        "samples": getattr(args, "samples", 1),
-        "cap_tuples": getattr(args, "cap_tuples", DEFAULT_TUPLE_CAP),
-        "cap_epochs": getattr(args, "cap_epochs", DEFAULT_MAX_EPOCH),
-    }
-    return JobConfig(**fields)
-
-
 COMMANDS = {
     "classify": cmd_classify,
     "check": cmd_check,
@@ -284,8 +248,12 @@ def main(argv: list[str] | None = None) -> int:
     """
     args = _parser().parse_args(argv)
     try:
-        cfg = _config(args)
-        return COMMANDS[args.command](cfg)
+        if args.command == "synchronize":
+            args.child_orders = _parse_child_orders(args.child_order)
+        for name in ("samples", "cap_tuples", "cap_epochs"):
+            if getattr(args, name, 1) <= 0:
+                raise MonosyncError(f"{name.replace('_', '-')} must be positive")
+        return COMMANDS[args.command](args)
     except (SizeLimit, BudgetExceeded) as e:
         print(f"resource cap: {e}", file=sys.stderr)
         return EXIT_CAP

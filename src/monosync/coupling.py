@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 from .errors import ContractViolation, DomainMismatch, SizeLimit
 from .linprog import FarkasVector, integral, solve_feasibility
 from .measure import F0, RationalMeasure
-from .poset import Poset, chain, covers
+from .poset import Poset, chain, cover_graph, covers
 
 DEFAULT_TUPLE_CAP = 10**6
 
@@ -111,12 +111,6 @@ def _numerators(measures: Sequence[RationalMeasure],
     return [ints[k:k + n] for k in range(0, len(ints), n)]
 
 
-def _order_arcs(poset: Poset) -> list[tuple[int, int]]:
-    """Every ``(i, j)`` with ``elements[i] <= elements[j]``, sorted: the
-    arcs of a transport up the order."""
-    return sorted((poset.index(a), poset.index(b)) for a, b in poset.relation)
-
-
 def _augment(supply: Sequence[int], demand: Sequence[int],
              arcs: Sequence[tuple[int, int]],
              ) -> tuple[list[int], list[int]]:
@@ -197,11 +191,10 @@ def _augment(supply: Sequence[int], demand: Sequence[int],
             j = head[k]
 
 
-def _up_closure(poset: Poset, arcs: Sequence[tuple[int, int]],
-                reached: Sequence[int]) -> frozenset[str]:
+def _up_closure(poset: Poset, reached: Sequence[int]) -> frozenset[str]:
     """The up-set generated by the elements at positions ``reached``."""
     start = set(reached)
-    return frozenset(poset.elements[j] for i, j in arcs if i in start)
+    return frozenset(poset.elements[j] for i, j in poset.arcs if i in start)
 
 
 def dominance_violation(p1: RationalMeasure, p2: RationalMeasure,
@@ -213,10 +206,9 @@ def dominance_violation(p1: RationalMeasure, p2: RationalMeasure,
     (Strassen 1965); ``U`` is the min cut that :func:`is_stoch_monotone`
     describes.
     """
-    arcs = _order_arcs(poset)
     n1, n2 = _numerators((p1, p2), poset.elements)
-    reached = _augment(n1, n2, arcs)[1]
-    return _up_closure(poset, arcs, reached) if reached else None
+    reached = _augment(n1, n2, poset.arcs)[1]
+    return _up_closure(poset, reached) if reached else None
 
 
 def stochastically_leq(p1: RationalMeasure, p2: RationalMeasure,
@@ -252,7 +244,7 @@ def strassen_coupling(p1: RationalMeasure, p2: RationalMeasure,
     els = poset.elements
     n = len(els)
     scale, ints = integral([p.of(x) for p in (p1, p2) for x in els])
-    flow = integer_transport(ints[:n], ints[n:], _order_arcs(poset))
+    flow = integer_transport(ints[:n], ints[n:], poset.arcs)
     if flow is None:
         return None
     return Coupling(PAIR_INDICES, {
@@ -276,7 +268,6 @@ def is_stoch_monotone(system: MeasureSystem) -> Verdict:
     shortfall.  This is the canonical witness.
     """
     S = system.state_poset
-    arcs = _order_arcs(S)
     indices = system.index_poset.elements
     numer = dict(zip(indices, _numerators(
         [system.measure_of(a) for a in indices], S.elements)))
@@ -285,15 +276,14 @@ def is_stoch_monotone(system: MeasureSystem) -> Verdict:
     def short(pair: tuple[str, str]) -> list[int]:
         if pair not in reached:
             alpha, beta = pair
-            reached[pair] = _augment(numer[alpha], numer[beta], arcs)[1]
+            reached[pair] = _augment(numer[alpha], numer[beta], S.arcs)[1]
         return reached[pair]
 
     if not any(map(short, covers(system.index_poset))):
         return Verdict(True)
     # a failing cover pair is a strict pair, so one is found
     alpha, beta = next(filter(short, system.index_poset.strict_pairs()))
-    return Verdict(False, (alpha, beta,
-                           _up_closure(S, arcs, short((alpha, beta)))))
+    return Verdict(False, (alpha, beta, _up_closure(S, short((alpha, beta)))))
 
 
 def monotone_tuples(index_poset: Poset, state_poset: Poset,
@@ -310,22 +300,20 @@ def monotone_tuples(index_poset: Poset, state_poset: Poset,
     :class:`SizeLimit` beyond ``cap``.
     """
     states = state_poset.elements
-    above = [
-        tuple(j for j, t in enumerate(states) if state_poset.leq(s, t))
-        for s in states
-    ]
+    above: list[list[int]] = [[] for _ in states]
+    for i, j in state_poset.arcs:
+        above[i].append(j)
     above_sets = [frozenset(a) for a in above]
     every = tuple(range(len(states)))
     topo = index_poset.linear_order()
     n = len(topo)
-    # the lower covers of each index, as earlier positions in ``topo``
-    lower = []
-    for k, alpha in enumerate(topo):
-        below = [j for j in range(k) if index_poset.lt(topo[j], alpha)]
-        lower.append(tuple(
-            j for j in below
-            if not any(index_poset.lt(topo[j], topo[i]) for i in below)))
-    place = tuple(map(topo.index, index_poset.elements))
+    at = {alpha: k for k, alpha in enumerate(topo)}
+    # the lower covers of each index, as earlier positions in ``topo``:
+    # its cover neighbours that the extension puts before it
+    graph = cover_graph(index_poset)
+    lower = [tuple(sorted(at[y] for y in graph.neighbors(alpha) if at[y] < k))
+             for k, alpha in enumerate(topo)]
+    place = tuple(map(at.__getitem__, index_poset.elements))
 
     found: list[tuple[int, ...]] = []
     assign = [0] * n
@@ -469,10 +457,9 @@ def check_coupling(system: MeasureSystem, coupling: Coupling) -> None:
     for tup, w in coupling.atoms.items():
         if not w > 0:
             fail("weight", tup)
-        for i, a in enumerate(A.elements):
-            for j, b in enumerate(A.elements):
-                if A.leq(a, b) and not S.leq(tup[i], tup[j]):
-                    fail("order", tup, a, b)
+        for i, j in A.arcs:
+            if not S.leq(tup[i], tup[j]):
+                fail("order", tup, A.elements[i], A.elements[j])
     for alpha in A.elements:
         marg = coupling.marginal(alpha)
         want = system.measure_of(alpha)

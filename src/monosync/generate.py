@@ -3,9 +3,12 @@
 Posets arrive as random orientations of random trees (any orientation of
 a tree is a poset whose cover graph is exactly that tree), as random
 relation subsets, or with bounds adjoined.  Measures are exact-uniform
-compositions of a denominator; systems are made stochastically monotone
-by construction, not by rejection, so downstream realizability stays a
-genuine question.
+compositions of a denominator.  Systems are stochastically monotone, so
+downstream realizability stays a genuine question: each index takes a
+candidate pushed up from a lower index's measure and keeps the first one
+that dominates every lower index, by one integer flow per pair
+(:func:`monosync.coupling.stochastically_leq`); when the candidates run
+out, a chain of upward moves gives a system monotone by construction.
 
 The module also hosts the randomized search for a stochastically
 monotone but unrealizable system on the diamond, the smallest poset
@@ -22,11 +25,12 @@ from .coupling import (
     MeasureSystem,
     measure_system,
     realize,
+    stochastically_leq,
     verify_certificate,
 )
 from .errors import ContractViolation
 from .measure import F0, RationalMeasure, rational_measure
-from .poset import Poset, chain, covers, up_sets, validate_poset
+from .poset import Poset, chain, covers, validate_poset
 from .synchronize import is_synchronizable
 
 
@@ -179,10 +183,6 @@ def up_moves(rng: random.Random, measure: RationalMeasure, poset: Poset,
     return rational_measure(poset.elements, mass)
 
 
-def _dominates(upsets, p: RationalMeasure, q: RationalMeasure) -> bool:
-    return all(p.of_set(u) <= q.of_set(u) for u in upsets)
-
-
 def random_monotone_system_chain(rng: random.Random, index_poset: Poset,
                                  state_poset: Poset,
                                  denominator: int) -> MeasureSystem:
@@ -210,7 +210,6 @@ def random_monotone_system(rng: random.Random, index_poset: Poset,
     indices; incomparable indices get genuinely incomparable measures
     this way.  Falls back to the chain construction when the local
     search stalls, so it always returns a valid system."""
-    upsets = up_sets(state_poset)
     order = index_poset.linear_order()
     chosen: dict[str, RationalMeasure] = {}
     for alpha in order:
@@ -223,7 +222,8 @@ def random_monotone_system(rng: random.Random, index_poset: Poset,
                                 rng.randrange(0, denominator), denominator)
             else:
                 cand = random_measure(rng, state_poset, denominator)
-            if all(_dominates(upsets, chosen[b], cand) for b in preds):
+            if all(stochastically_leq(chosen[b], cand, state_poset)
+                   for b in preds):
                 got = cand
                 break
         if got is None:
@@ -255,7 +255,6 @@ def search_infeasible_diamond(seed: int, max_trials: int = 10**5,
     or None if the budget runs out.
     """
     poset = diamond()
-    upsets = up_sets(poset)
     rng = random.Random(seed)
     for trial in range(max_trials):
         d = rng.randrange(2, max_denominator + 1)
@@ -263,10 +262,11 @@ def search_infeasible_diamond(seed: int, max_trials: int = 10**5,
         p_top = up_moves(rng, p_bot, poset, rng.randrange(1, 2 * d), d)
         p_a = up_moves(rng, p_bot, poset, rng.randrange(1, 2 * d), d)
         p_b = up_moves(rng, p_bot, poset, rng.randrange(1, 2 * d), d)
-        if not (_dominates(upsets, p_a, p_top)
-                and _dominates(upsets, p_b, p_top)):
+        if not (stochastically_leq(p_a, p_top, poset)
+                and stochastically_leq(p_b, p_top, poset)):
             continue
-        if _dominates(upsets, p_a, p_b) or _dominates(upsets, p_b, p_a):
+        if (stochastically_leq(p_a, p_b, poset)
+                or stochastically_leq(p_b, p_a, poset)):
             continue
         system = measure_system(poset, poset, {
             "bot": p_bot, "a": p_a, "b": p_b, "top": p_top})

@@ -55,19 +55,22 @@ class Poset:
     def lt(self, a: str, b: str) -> bool:
         return a != b and (a, b) in self.relation
 
+    @cached_property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        """Every ``(i, j)`` with ``elements[i] <= elements[j]``, sorted:
+        the order as index pairs, built once and read by every question
+        that walks it."""
+        idx = self._index
+        return tuple(sorted((idx[a], idx[b]) for a, b in self.relation))
+
     def strict_pairs(self) -> tuple[tuple[str, str], ...]:
         """All pairs ``(a, b)`` with ``a < b``, in element-index order."""
         return self._strict_pairs
 
     @cached_property
     def _strict_pairs(self) -> tuple[tuple[str, str], ...]:
-        out = [
-            (a, b)
-            for (a, b) in self.relation
-            if a != b
-        ]
-        out.sort(key=lambda p: (self._index[p[0]], self._index[p[1]]))
-        return tuple(out)
+        els = self.elements
+        return tuple((els[i], els[j]) for i, j in self.arcs if i != j)
 
     @cached_property
     def _cover_graph(self) -> CoverGraph:
@@ -256,6 +259,11 @@ def default_root(poset: Poset) -> str:
 
 def up_sets(poset: Poset, cap: int = DEFAULT_UPSET_CAP) -> tuple[frozenset[str], ...]:
     """All up-sets of the poset, the empty set and the full set included.
+
+    No code of the package calls this: dominance is decided by one
+    integer flow (:func:`monosync.coupling.stochastically_leq`).  It is
+    the tests' oracle, an exhaustive scan to check those verdicts
+    against, and it is exponential in the width of the poset.
 
     Elements are decided from the top of a linear extension downward; an
     element may join only if everything covering it is already in, so each

@@ -138,9 +138,7 @@ def glued_tables(system: MeasureSystem, tree: RootedTree,
     A, S = system.index_poset, system.state_poset
     states = S.elements
     counts = {a: cell_counts(system.measure_of(a), L) for a in A.elements}
-    pairs = [(i, j) for i in range(len(states)) for j in range(len(states))]
-    up = [(i, j) for i, j in pairs if S.leq(states[i], states[j])]
-    down = [(i, j) for i, j in pairs if S.leq(states[j], states[i])]
+    up, down = S.arcs, S.dual().arcs
     tables = {tree.root: cell_states(system.measure_of(tree.root),
                                      extension, L)}
     stack = [tree.root]

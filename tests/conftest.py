@@ -50,6 +50,14 @@ SHOWCASE_ATOMS = {
     ("tau", "tau"): Fraction(1, 15),
 }
 
+def kite():
+    """The diamond with a peak above its top: its cover graph has a cycle."""
+    return validate_poset(
+        ("bot", "a", "b", "top", "peak"),
+        [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top"),
+         ("top", "peak")])
+
+
 IDENTITY_15 = tuple(range(15))
 PHI2_15 = (0, 2, 3, 1, 4, 5, 8, 6, 7, 9, 10, 11, 12, 13, 14)
 

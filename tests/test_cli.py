@@ -272,6 +272,23 @@ def test_input_errors(capsys, data_dir, tmp_path):
     assert rc == 2 and "bad --child-order" in err
 
 
+def test_child_order_errors_come_first(capsys, data_dir, tmp_path):
+    system = str(data_dir / "w6.system")
+    rc, out, err = run(capsys, "synchronize", "--system", system,
+                       "--child-order", "w=z,v", "--child-order", "w=v,z",
+                       "--out", str(tmp_path))
+    assert (rc, out) == (2, [])
+    assert err == "error: duplicate --child-order for 'w'\n"
+    assert list(tmp_path.iterdir()) == []
+    # a bad spec is reported before a count that is not positive
+    rc, _, err = run(capsys, "synchronize", "--system", system,
+                     "--child-order", "w:z,v", "--cap-tuples", "0")
+    assert rc == 2 and "bad --child-order" in err
+    rc, _, err = run(capsys, "synchronize", "--system", system,
+                     "--child-order", "w=z,v", "--cap-tuples", "0")
+    assert err == "error: cap-tuples must be positive\n"
+
+
 @pytest.mark.parametrize("command", ["check", "synchronize"])
 def test_empty_index_poset_is_input_error(capsys, data_dir, tmp_path,
                                          command):
