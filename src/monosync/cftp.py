@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd
 from operator import itemgetter
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .coupling import (
     DEFAULT_TUPLE_CAP,
@@ -84,9 +85,10 @@ class GrandCoupling:
 
     Row x lists the next state per cell; cell counts reproduce the kernel
     row at x exactly, and rows respect the order cell by cell.  The
-    table is read-only once built: the sampler's steps (one
-    ``itemgetter`` per cell), the extremal indices and the ergodicity
-    and coalescence verdicts are derived from it once and cached.
+    table is read-only once built and turned from names into indices
+    once (``_columns``); the sampler's steps (one ``itemgetter`` per
+    cell), the extremal indices and the ergodicity and coalescence
+    verdicts are derived once and cached.
     """
 
     L: int
@@ -107,13 +109,19 @@ class GrandCoupling:
                     f"row at {x!r} names unknown states {sorted(stray)}")
 
     @cached_property
-    def _steps(self) -> tuple[itemgetter, ...]:
-        """One ``itemgetter`` per cell: ``_steps[c](comp)[i]`` is ``comp``
-        at the index of the next state from state ``i`` under cell ``c``
-        (a scalar, not a tuple, when there is one state)."""
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """Cell-major index view: ``_columns[c][i]`` is the index of the
+        next state from state ``i`` under cell ``c``."""
         pos = self.state_poset.index
         rows = (self.update[x] for x in self.state_poset.elements)
-        return tuple(itemgetter(*map(pos, col)) for col in zip(*rows))
+        return tuple(tuple(map(pos, col)) for col in zip(*rows))
+
+    @cached_property
+    def _steps(self) -> tuple[itemgetter, ...]:
+        """One ``itemgetter`` per cell: ``_steps[c](comp)[i]`` is
+        ``comp[_columns[c][i]]`` (a scalar, not a tuple, when there is one
+        state)."""
+        return tuple(itemgetter(*col) for col in self._columns)
 
     @cached_property
     def _extremals(self) -> tuple[int, ...]:
@@ -125,9 +133,11 @@ class GrandCoupling:
     @cached_property
     def _ergodic(self) -> Verdict:
         """Ergodicity of the support digraph, then coalescence: whether
-        coupling from the past can run on the table at all."""
-        support = {x: frozenset(row) for x, row in self.update.items()}
-        verdict = _ergodicity(support, self.state_poset.elements)
+        coupling from the past can run on the table at all.  Both read
+        only the distinct columns."""
+        cols = set(self._columns)
+        verdict = _ergodicity([{col[i] for col in cols}
+                               for i in range(len(self.state_poset))])
         return self._coalescing if verdict else verdict
 
     @cached_property
@@ -138,8 +148,7 @@ class GrandCoupling:
         (col[i], col[j])``, in O(n^2) times the distinct columns.  The
         witness names the first pair no sequence merges."""
         els = self.state_poset.elements
-        pos = self.state_poset.index
-        cols = set(zip(*(map(pos, self.update[x]) for x in els)))
+        cols = set(self._columns)
         pairs = list(combinations(range(len(els)), 2))
         into: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for i, j in pairs:
@@ -229,66 +238,43 @@ def _require_stoch_monotone(system: MeasureSystem) -> None:
             alpha, beta, upset)
 
 
-def _reachable(support: Mapping[str, frozenset[str]], start: str,
-               forward: bool) -> set[str]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        u = frontier.pop()
-        if forward:
-            targets: set[str] | frozenset[str] = support[u]
-        else:
-            targets = {x for x, nxt in support.items() if u in nxt}
-        for v in targets:
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return seen
-
-
-def _is_irreducible(support: Mapping[str, frozenset[str]],
-                    elements: tuple[str, ...]) -> bool:
-    start = elements[0]
-    if len(_reachable(support, start, forward=True)) != len(elements):
-        return False
-    return len(_reachable(support, start, forward=False)) == len(elements)
-
-
-def _period(support: Mapping[str, frozenset[str]],
-            elements: tuple[str, ...]) -> int:
-    level = {elements[0]: 0}
-    frontier = [elements[0]]
-    while frontier:
-        nxt: list[str] = []
-        for u in frontier:
-            for v in support[u]:
-                if v not in level:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    g = 0
-    for u in elements:
-        for v in support[u]:
-            g = gcd(g, level[u] + 1 - level[v])
-    return abs(g)
-
-
-def _ergodicity(support: Mapping[str, frozenset[str]],
-                elements: tuple[str, ...]) -> Verdict:
-    """Irreducible and aperiodic, decided on a support digraph."""
-    if not _is_irreducible(support, elements):
+def _ergodicity(succ: Sequence[Iterable[int]]) -> Verdict:
+    """Irreducible and aperiodic, decided on the support digraph with
+    arcs ``u -> v`` for ``v`` in ``succ[u]``: breadth-first levels from
+    state 0, one search back to it, and the period as the gcd of
+    ``level[u] + 1 - level[v]`` over the arcs."""
+    level = {0: 0}
+    order = [0]
+    for u in order:  # grows as it is read: breadth first
+        for v in succ[u]:
+            if v not in level:
+                level[v] = level[u] + 1
+                order.append(v)
+    pred: list[list[int]] = [[] for _ in succ]
+    for u, vs in enumerate(succ):
+        for v in vs:
+            pred[v].append(u)
+    back = {0}
+    stack = [0]
+    while stack:
+        for u in pred[stack.pop()]:
+            if u not in back:
+                back.add(u)
+                stack.append(u)
+    if len(level) < len(succ) or len(back) < len(succ):
         return Verdict(False, "reducible")
-    p = _period(support, elements)
-    if p != 1:
-        return Verdict(False, ("periodic", p))
-    return Verdict(True)
+    g = 0
+    for u, vs in enumerate(succ):
+        for v in vs:
+            g = gcd(g, level[u] + 1 - level[v])
+    return Verdict(True) if g == 1 else Verdict(False, ("periodic", g))
 
 
 def is_ergodic(kern: Kernel) -> Verdict:
     """Irreducible and aperiodic, decided on the support digraph."""
-    return _ergodicity({x: frozenset(kern.rows[x].support())
-                        for x in kern.state_poset.elements},
-                       kern.state_poset.elements)
+    pos = kern.state_poset.index
+    return _ergodicity([tuple(map(pos, kern.rows[x].support()))
+                        for x in kern.state_poset.elements])
 
 
 def _require_ergodic_table(gc: GrandCoupling) -> None:
@@ -307,8 +293,7 @@ def _require_ergodic_table(gc: GrandCoupling) -> None:
 
 
 def cftp_sample(gc: GrandCoupling, seed: int, stream: int = 0,
-                max_epoch: int = DEFAULT_MAX_EPOCH,
-                check_ergodic: bool = True) -> str:
+                max_epoch: int = DEFAULT_MAX_EPOCH) -> str:
     """One draw with exactly the stationary law.
 
     ``comp[i]`` is the state index at time 0 reached from state ``i`` at
@@ -321,10 +306,10 @@ def cftp_sample(gc: GrandCoupling, seed: int, stream: int = 0,
     would return at the first power of two at or beyond that time.  At
     each such epoch boundary ``T`` the extremal shortcut must agree (the
     monotone update table guarantees it), and ``max_epoch`` bounds the
-    last epoch tried.
+    last epoch tried.  A table that is not ergodic or never coalesces is
+    refused first, by its cached verdict.
     """
-    if check_ergodic:
-        _require_ergodic_table(gc)
+    _require_ergodic_table(gc)
     cell_at = CellSampler(gc.L, seed, stream).cell_at
     steps = gc._steps
     extremals = gc._extremals
@@ -347,29 +332,42 @@ def cftp_sample(gc: GrandCoupling, seed: int, stream: int = 0,
 def sample_many(gc: GrandCoupling, seed: int, n: int,
                 max_epoch: int = DEFAULT_MAX_EPOCH) -> tuple[str, ...]:
     """n independent perfect draws, one stream per sample index."""
-    _require_ergodic_table(gc)
-    return tuple(
-        cftp_sample(gc, seed, stream=k, max_epoch=max_epoch,
-                    check_ergodic=False)
-        for k in range(n))
+    return tuple(cftp_sample(gc, seed, stream=k, max_epoch=max_epoch)
+                 for k in range(n))
 
 
 def stationary_exact(kern: Kernel) -> RationalMeasure:
-    """The unique stationary row, by rational Gaussian elimination."""
-    support = {x: frozenset(kern.rows[x].support())
-               for x in kern.state_poset.elements}
-    if not _is_irreducible(support, kern.state_poset.elements):
+    """The unique stationary row, by rational Gaussian elimination.
+
+    The law is re-checked exactly before it is returned: it must sum to
+    1 and satisfy ``pi P = pi`` at every state, or
+    :class:`ContractViolation` names the first failure.
+    """
+    if is_ergodic(kern).witness == "reducible":
         raise NotErgodic("kernel is reducible")
     els = kern.state_poset.elements
     n = len(els)
+    rows = [kern.rows[u] for u in els]
     # balance equations for all but one state, then normalization
-    rows = [
-        [kern.rows[u].of(v) - (F1 if u == v else F0) for u in els]
-        for v in els[:-1]
-    ]
-    rows.append([F1] * n)
-    rhs = [F0] * (n - 1) + [F1]
+    pi = _solve([[r.of(v) - (F1 if u == v else F0) for u, r in zip(els, rows)]
+                 for v in els[:-1]] + [[F1] * n],
+                [F0] * (n - 1) + [F1])
+    total = sum(pi)
+    if total != 1:
+        raise ContractViolation("stationary law does not sum to 1",
+                                ("total", total))
+    for v, x in zip(els, pi):
+        if sum(p * r.of(v) for p, r in zip(pi, rows)) != x:
+            raise ContractViolation(
+                f"stationary law is not invariant at {v!r}", ("balance", v))
+    return rational_measure(els, dict(zip(els, pi)))
 
+
+def _solve(rows: list[list[Fraction]],
+           rhs: list[Fraction]) -> list[Fraction]:
+    """``x`` with ``rows x = rhs`` for a nonsingular square system, by
+    Gauss-Jordan elimination in place."""
+    n = len(rows)
     for col in range(n):
         pivot = next(r for r in range(col, n) if rows[r][col] != 0)
         rows[col], rows[pivot] = rows[pivot], rows[col]
@@ -382,7 +380,7 @@ def stationary_exact(kern: Kernel) -> RationalMeasure:
                 f = rows[r][col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
                 rhs[r] -= f * rhs[col]
-    return rational_measure(els, {x: rhs[i] for i, x in enumerate(els)})
+    return rhs
 
 
 def chi_square_fit(counts: Mapping[str, int],

@@ -75,10 +75,13 @@ def _parse_child_orders(specs: list[str]) -> dict[str, tuple[str, ...]]:
 
 
 def _write(args: argparse.Namespace, name: str, text: str) -> Path:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    target = out_dir / name
-    target.write_text(text, encoding="utf-8")
+    target = Path(args.out) / name
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(text, encoding="utf-8")
+    except OSError as e:  # --out names a file, or a path it cannot write
+        raise MonosyncError(
+            f"cannot write {e.filename or target}: {e.strerror or e}") from e
     return target
 
 

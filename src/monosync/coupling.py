@@ -379,7 +379,7 @@ def realize(system: MeasureSystem,
         for j, s in enumerate(states)
     }
     columns = [
-        tuple((row_of[(a, tup[i])], 1) for i, a in enumerate(indices))
+        tuple(row_of[(a, tup[i])] for i, a in enumerate(indices))
         for tup in tuples
     ]
     b = [F0] * len(row_of)

@@ -159,15 +159,12 @@ def parse_measures(path: str | Path, poset: Poset,
     }
 
 
-def serialize_measures(measures: Mapping[str, RationalMeasure],
-                       order: Sequence[str] | None = None) -> str:
-    """Canonical form: support masses only, in the given element order
-    (an extension order when one is in play, else the domain order)."""
+def serialize_measures(measures: Mapping[str, RationalMeasure]) -> str:
+    """Canonical form: support masses only, in domain order."""
     lines: list[str] = []
     for label, measure in measures.items():
         lines.append(f"measure {label}")
-        els = order if order is not None else measure.domain()
-        for x in els:
+        for x in measure.domain():
             if measure.of(x) > 0:
                 lines.append(f"mass {x} {frac_str(measure.of(x))}")
     return "\n".join(lines) + "\n"

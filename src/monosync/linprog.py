@@ -1,21 +1,20 @@
 """Exact rational feasibility solver: fraction-free phase-one simplex.
 
-Decides whether ``A x = b`` admits ``x >= 0``, for a sparse column matrix
-with rational entries and ``b >= 0``.  Runs the revised simplex on
-``min sum(artificials)`` with Bland's pivoting rule, which terminates
-without any tolerance.  On success returns the basic feasible point; on
+Decides whether ``A x = b`` admits ``x >= 0``, for a 0/1 matrix given
+column by column as the rows that hold a 1, and a rational ``b >= 0``.
+Runs the revised simplex on ``min sum(artificials)`` with Bland's
+pivoting rule, which terminates without any tolerance.  On success returns the basic feasible point; on
 failure returns a Farkas vector ``y`` with ``y.A <= 0`` componentwise and
 ``y.b > 0``, an exact certificate that no solution exists.
 
 All arithmetic is on integers (Edmonds 1967; Bareiss 1968).  ``b`` is put
-over the lcm of its denominators and each column over the lcm of its
-own, so the basis matrix ``B`` is integral.  The solver keeps its
-adjugate ``T = det(B) B^-1`` and ``det(B) > 0`` instead of ``B^-1``: on
-a pivot every row of ``T`` other than the pivot row is updated with one
-exact integer division by the old determinant, and the new determinant
-is the pivot element.  Scaling a column or the right-hand side by a
-positive factor changes neither the sign of a reduced cost nor the order
-of the ratios, so every pivot is the one the rational simplex takes.
+over the lcm of its denominators, and the basis matrix ``B`` is a 0/1
+matrix.  The solver keeps its adjugate ``T = det(B) B^-1`` and
+``det(B) > 0`` instead of ``B^-1``: on a pivot every row of ``T`` other
+than the pivot row is updated with one exact integer division by the old
+determinant, and the new determinant is the pivot element.  Scaling the
+right-hand side by a positive factor does not change the order of the
+ratios, so every pivot is the one the rational simplex takes.
 ``Fraction`` appears only at the boundary: in the input and in the
 returned point or certificate.
 """
@@ -25,10 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import add
 from typing import Sequence
 
-SparseColumn = Sequence[tuple[int, Fraction | int]]
+SparseColumn = Sequence[int]  # the rows that hold a 1
 
 
 @dataclass(frozen=True)
@@ -56,14 +55,6 @@ def solve_feasibility(columns: Sequence[SparseColumn],
     if any(v < 0 for v in b):
         raise ValueError("right-hand side must be nonnegative")
 
-    rows: list[tuple[int, ...]] = []
-    coefs: list[tuple[int, ...]] = []
-    scales: list[int] = []
-    for col in columns:
-        scale, ints = integral([c for _, c in col])
-        rows.append(tuple(r for r, _ in col))
-        coefs.append(tuple(ints))
-        scales.append(scale)
     bscale, xb = integral(b)  # xb = T (bscale b)
 
     adj = [[0] * m for _ in range(m)]  # T = det(B) B^-1
@@ -74,7 +65,7 @@ def solve_feasibility(columns: Sequence[SparseColumn],
 
     def dual() -> list[int]:
         # det(B) y, where y = c_B B^-1 and the phase-one cost is 1 on
-        # artificials, 0 elsewhere; artificial rows carry no scale
+        # artificials, 0 elsewhere
         y = [0] * m
         for i, col in enumerate(basis):
             if col >= n:
@@ -86,8 +77,7 @@ def solve_feasibility(columns: Sequence[SparseColumn],
         in_basis = set(basis)
         entering = -1
         for j in range(n):
-            if j not in in_basis and sum(
-                    map(mul, coefs[j], map(y.__getitem__, rows[j]))) > 0:
+            if j not in in_basis and sum(map(y.__getitem__, columns[j])) > 0:
                 entering = j
                 break
         else:
@@ -99,9 +89,8 @@ def solve_feasibility(columns: Sequence[SparseColumn],
             break
 
         if entering < n:
-            ent_rows, ent_coefs = rows[entering], coefs[entering]
-            d = [sum(map(mul, ent_coefs, map(row.__getitem__, ent_rows)))
-                 for row in adj]
+            ent = columns[entering]
+            d = [sum(map(row.__getitem__, ent)) for row in adj]
         else:
             k = entering - n
             d = [row[k] for row in adj]
@@ -140,7 +129,7 @@ def solve_feasibility(columns: Sequence[SparseColumn],
                    denom)
     if gap == 0:
         point = {
-            col: Fraction(scales[col] * xb[i], denom)
+            col: Fraction(xb[i], denom)
             for i, col in enumerate(basis)
             if col < n and xb[i] != 0
         }

@@ -16,6 +16,7 @@ from monosync.cftp import (
     DEFAULT_MAX_EPOCH,
     GrandCoupling,
     _chi2_sf,
+    _ergodicity,
     _require_ergodic_table,
     build_grand_coupling,
     check_grand_coupling,
@@ -29,6 +30,7 @@ from monosync.cftp import (
 from monosync import coupling
 from monosync.coupling import (
     InfeasibilityCertificate,
+    Verdict,
     is_stoch_monotone,
     realize,
     verify_certificate,
@@ -423,6 +425,29 @@ def test_ergodicity_verdicts(chain2):
         stationary_exact(ident)
 
 
+def test_stationary_law_is_checked(monkeypatch, w6):
+    kern = w6_shifted_mixture(w6)
+    solve = cftp._solve
+
+    def doubled(rows, rhs):
+        return [2 * x for x in solve(rows, rhs)]
+
+    monkeypatch.setattr(cftp, "_solve", doubled)
+    with pytest.raises(ContractViolation) as err:
+        stationary_exact(kern)
+    assert err.value.witness == ("total", 2)
+
+    def swapped(rows, rhs):  # sums to 1, but pi P = pi fails at x first
+        x, y, *rest = solve(rows, rhs)
+        return [y, x, *rest]
+
+    monkeypatch.setattr(cftp, "_solve", swapped)
+    with pytest.raises(ContractViolation,
+                       match="not invariant at 'x'") as err:
+        stationary_exact(kern)
+    assert err.value.witness == ("balance", "x")
+
+
 def test_chain2_stationary_and_fit(chain2_kernel):
     pi = stationary_exact(chain2_kernel)
     assert pi.of("lo") == Fraction(1, 2) and pi.of("hi") == Fraction(1, 2)
@@ -498,13 +523,11 @@ def doubling_columns(gc):
     return tuple(tuple(map(pos, col)) for col in zip(*rows))
 
 
-def doubling_cftp_sample(gc, seed, stream=0, max_epoch=DEFAULT_MAX_EPOCH,
-                         check_ergodic=True):
+def doubling_cftp_sample(gc, seed, stream=0, max_epoch=DEFAULT_MAX_EPOCH):
     """The former sampler, kept as the oracle: epochs of doubled length,
     each epoch's new cells composed forward and the stored map extended
     by them, coalescence looked at only at epoch boundaries."""
-    if check_ergodic:
-        _require_ergodic_table(gc)
+    _require_ergodic_table(gc)
     sampler = CellSampler(gc.L, seed, stream)
     cols = doubling_columns(gc)
     extremals = gc._extremals
@@ -531,8 +554,9 @@ def doubling_cftp_sample(gc, seed, stream=0, max_epoch=DEFAULT_MAX_EPOCH,
 
 def random_monotone_table(rng):
     """The built table of a monotone kernel on a chain (1-7 states) or a
-    class-W or class-BY poset (4-7): rows from ``random_monotone_system``,
-    half of them mixed 1/2 with the uniform row (then ergodic)."""
+    class-W or class-BY poset (4-7), with the kernel: rows from
+    ``random_monotone_system``, half of them mixed 1/2 with the uniform
+    row (then ergodic)."""
     shape = rng.choice(["Z", "W", "BY"])
     if shape == "Z":
         S = chain(element_labels(rng.randrange(1, 8), "s"))
@@ -547,9 +571,10 @@ def random_monotone_table(rng):
         u = Fraction(1, 2 * len(els))
         rows = {s: rational_measure(els, {t: row.of(t) / 2 + u for t in els})
                 for s, row in rows.items()}
-    gc = build_grand_coupling(kernel(S, rows))
+    kern = kernel(S, rows)
+    gc = build_grand_coupling(kern)
     assert isinstance(gc, GrandCoupling)
-    return gc, mixed
+    return gc, kern, mixed
 
 
 def random_table(rng):
@@ -583,17 +608,14 @@ def test_step_back_sampler_matches_doubling_oracle(seed):
     rng = random.Random(seed)
     epochs = [0, 1, 2, 3, 5, 6, 7, 12, 33, 64, 100]
     if rng.random() < 0.5:
-        gc, mixed = random_monotone_table(rng)
-        check_ergodic = rng.random() < 0.8
+        gc, _, mixed = random_monotone_table(rng)
         if mixed:  # ergodic and monotone: coalesces with probability 1
             epochs.append(DEFAULT_MAX_EPOCH)
     else:
         gc = random_table(rng)
-        check_ergodic = False
     max_epoch = rng.choice(epochs)
     for stream in range(3):
-        kwargs = dict(stream=stream, max_epoch=max_epoch,
-                      check_ergodic=check_ergodic)
+        kwargs = dict(stream=stream, max_epoch=max_epoch)
         got = outcome(cftp_sample, gc, seed, **kwargs)
         assert got == outcome(doubling_cftp_sample, gc, seed, **kwargs)
 
@@ -647,3 +669,104 @@ def test_table_that_never_coalesces_is_refused():
         assert str(err.value) == "no cell sequence merges 'a' and 'b'"
     with pytest.raises(NotCoalescing):
         sample_many(gc, seed=1, n=2)
+
+
+def reachable(support, start, forward):
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        u = frontier.pop()
+        if forward:
+            targets = support[u]
+        else:
+            targets = {x for x, nxt in support.items() if u in nxt}
+        for v in targets:
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return seen
+
+
+def is_irreducible(support, elements):
+    start = elements[0]
+    if len(reachable(support, start, forward=True)) != len(elements):
+        return False
+    return len(reachable(support, start, forward=False)) == len(elements)
+
+
+def period(support, elements):
+    level = {elements[0]: 0}
+    frontier = [elements[0]]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in support[u]:
+                if v not in level:
+                    level[v] = level[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    g = 0
+    for u in elements:
+        for v in support[u]:
+            g = math.gcd(g, level[u] + 1 - level[v])
+    return abs(g)
+
+
+def name_keyed_ergodicity(support, elements):
+    """The former verdict on name-keyed successor sets, kept as the
+    oracle: two reachability searches (the backward one rescans every
+    row per step), then the period from breadth-first levels."""
+    if not is_irreducible(support, elements):
+        return Verdict(False, "reducible")
+    p = period(support, elements)
+    if p != 1:
+        return Verdict(False, ("periodic", p))
+    return Verdict(True)
+
+
+def random_support(rng):
+    """A support digraph on 1-8 states, every state with a successor:
+    arbitrary arcs, arcs from each class of a cycle of classes to the
+    next (periodic unless self loops or a short cycle break it), or arcs
+    that never leave the first states (reducible)."""
+    els = element_labels(rng.randrange(1, 9))
+    n = len(els)
+    kind = rng.choice(["any", "cyclic", "closed"])
+    k = rng.randrange(1, n + 1)
+    cls = [rng.randrange(k) for _ in els]
+    closed = rng.randrange(1, n + 1)
+    density = rng.random()
+    loops = rng.random() < 0.3
+    support = {}
+    for i, x in enumerate(els):
+        if kind == "cyclic":
+            targets = [y for j, y in enumerate(els)
+                       if cls[j] == (cls[i] + 1) % k] or list(els)
+        elif kind == "closed" and i < closed:
+            targets = list(els[:closed])
+        else:
+            targets = list(els)
+        nxt = {y for y in targets if rng.random() < density}
+        if loops and rng.random() < 0.3:
+            nxt.add(x)
+        support[x] = frozenset(nxt or {rng.choice(targets)})
+    return els, support
+
+
+@given(seeds)
+@settings(max_examples=500)
+def test_ergodicity_matches_name_keyed_oracle(seed):
+    els, support = random_support(random.Random(seed))
+    pos = {x: i for i, x in enumerate(els)}
+    succ = [[pos[y] for y in support[x]] for x in els]
+    assert _ergodicity(succ) == name_keyed_ergodicity(support, els)
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_table_verdict_reads_the_kernel_ergodicity(seed):
+    # the table's support digraph is the kernel's: each row's cells
+    # reproduce its masses, so they hit exactly its support
+    gc, kern, _ = random_monotone_table(random.Random(seed))
+    verdict = is_ergodic(kern)
+    assert gc._ergodic == (gc._coalescing if verdict else verdict)

@@ -182,6 +182,26 @@ def test_synchronize_cap_hits(capsys, data_dir, tmp_path):
     assert rc == 3 and err.startswith("resource cap:")
 
 
+@pytest.mark.parametrize("command, printed", [
+    ("check", ["stochastically monotone", "realizable", "atoms 11"]),
+    ("synchronize", ["naive_violations 2"]),
+])
+@pytest.mark.parametrize("under", [False, True])
+def test_unwritable_out_is_input_error(capsys, data_dir, tmp_path, command,
+                                       printed, under):
+    # --out names a regular file, or a directory under one: the first
+    # write fails, which is exit 2 with the path, not a traceback
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out_dir = blocker / "sub" if under else blocker
+    rc, out, err = run(capsys, command,
+                       "--system", str(data_dir / "w6.system"),
+                       "--out", str(out_dir))
+    assert rc == 2 and out == printed
+    reason = "Not a directory" if under else "File exists"
+    assert err == f"error: cannot write {out_dir}: {reason}\n"
+
+
 def test_cftp_deterministic(capsys, data_dir, tmp_path):
     argv = ("cftp", "--kernel", str(data_dir / "chain2.kernel"),
             "--seed", "20260818", "--samples", "50", "--out", str(tmp_path))

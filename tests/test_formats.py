@@ -44,12 +44,12 @@ def test_poset_roundtrip(data_dir, w6, tmp_path):
     assert again.elements == w6.elements and covers(again) == W6_COVERS
 
 
-def test_measures_roundtrip(data_dir, w6, p1, p2, psi, tmp_path):
+def test_measures_roundtrip(data_dir, w6, p1, p2, tmp_path):
     parsed = parse_measures(data_dir / "w6.measures", w6)
     assert set(parsed) == {"p1", "p2"}
     assert parsed["p1"] == p1 and parsed["p2"] == p2
     out = tmp_path / "again.measures"
-    out.write_text(serialize_measures(parsed, order=psi.order))
+    out.write_text(serialize_measures(parsed))
     assert parse_measures(out, w6) == parsed
     # canonical form drops zero masses
     assert "mass" not in [
