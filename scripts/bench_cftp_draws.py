@@ -10,11 +10,13 @@ row.  Draw k of every kernel is ``cftp_sample(gc, SEED, stream=k)``.
 
 Per kernel it records the median microseconds per draw (each draw timed
 on its own) and the cells per draw.  Every draw is then drawn again with
-a counting sampler and cross-checked against an independent doubling
-replay on the string table, with its own cell list:
+the keyed hash that ``cftp`` builds wrapped, so that the counters
+``(t, attempt)`` it hashes are recorded, and cross-checked against an
+independent doubling replay on the string table, with its own cell list
+from ``CellSampler``:
 
 * the draw equals the replay's;
-* the cells drawn are those of times 1..k, each once;
+* the counters hashed are ``(t, 0)`` for times 1..k, each once;
 * the map from time -k is constant and the map from time -(k - 1) is not,
   so the sampler stopped at coalescence.
 
@@ -24,7 +26,8 @@ With ``--runs DIR`` it also summarises benchmark runs, as
 ``scripts/bench_glued_build.py --runs`` does: each file
 ``DIR/{parent,change}-{workload}-{seed}.json`` holds the last stdout line
 of ``perfbench/run.py``.  Without ``--runs`` a summary already in the
-output file is kept as it is.
+output file is kept as it is, and so is a ``parent`` entry: the kernel
+rows of the same sweep on the parent commit, as recorded there.
 
 Usage:
     PYTHONPATH=src python3 scripts/bench_cftp_draws.py [--quick]
@@ -52,7 +55,7 @@ from monosync.cftp import build_grand_coupling, cftp_sample, kernel
 from monosync.generate import random_class_w, random_monotone_system_chain
 from monosync.measure import rational_measure
 from monosync.poset import chain
-from monosync.rng import CellSampler
+from monosync.rng import COUNTER, CellSampler
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 20261018
@@ -103,23 +106,35 @@ def cross_check(gc, stream, draw):
     """``(reason, k)``, where ``k`` is the number of cells the draw took
     and ``reason`` is None when the draw and its cells agree with a
     doubling replay."""
-    times = []
+    counters = []
+    keyed_hash = cftp.keyed_hash
 
-    class Counting(CellSampler):
-        def cell_at(self, t):
-            times.append(t)
-            return super().cell_at(t)
+    class Recording:
+        """A keyed hash whose copies record the counters they hash."""
 
-    cftp.CellSampler = Counting  # the sampler cftp_sample builds
+        def __init__(self, h):
+            self._h = h
+
+        def copy(self):
+            return Recording(self._h.copy())
+
+        def update(self, data):
+            counters.append(COUNTER.unpack(data))
+            self._h.update(data)
+
+        def digest(self):
+            return self._h.digest()
+
+    cftp.keyed_hash = lambda *key: Recording(keyed_hash(*key))
     try:
         again = cftp_sample(gc, SEED, stream)
     finally:
-        cftp.CellSampler = CellSampler
-    k = len(times)
+        cftp.keyed_hash = keyed_hash
+    k = len(counters)
     if again != draw:
         return f"stream {stream}: {draw!r}, then {again!r}", k
-    if times != list(range(1, k + 1)):
-        return f"stream {stream}: cells drawn at times {times[:8]}...", k
+    if counters != [(t, 0) for t in range(1, k + 1)]:
+        return f"stream {stream}: counters hashed {counters[:8]}...", k
     sampler = CellSampler(gc.L, SEED, stream)
     cells = [None]
     T = 1
@@ -182,10 +197,11 @@ def main() -> int:
     }
     if args.runs is not None:
         report["benchmark"] = summarise(args.runs)
-    elif args.out.exists():
-        kept = json.loads(args.out.read_text()).get("benchmark")
-        if kept is not None:
-            report["benchmark"] = kept
+    if args.out.exists():
+        old = json.loads(args.out.read_text())
+        for key in ("parent", "benchmark"):
+            if key in old and key not in report:
+                report[key] = old[key]
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {args.out}; {failures} draw(s) failed their check")
     return 1 if failures else 0

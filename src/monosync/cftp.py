@@ -47,7 +47,7 @@ from .poset import (
     default_root,
     root_tree,
 )
-from .rng import CellSampler
+from .rng import COUNTER, CellSampler, acceptance_bound, keyed_hash
 from .synchronize import (
     check_cell_tables,
     coupling_tables,
@@ -87,8 +87,9 @@ class GrandCoupling:
     row at x exactly, and rows respect the order cell by cell.  The
     table is read-only once built and turned from names into indices
     once (``_columns``); the sampler's steps (one ``itemgetter`` per
-    cell), the extremal indices and the ergodicity and coalescence
-    verdicts are derived once and cached.
+    cell), its identity map and acceptance bound, the extremal indices
+    and the ergodicity and coalescence verdicts are derived once and
+    cached.
     """
 
     L: int
@@ -122,6 +123,17 @@ class GrandCoupling:
         ``comp[_columns[c][i]]`` (a scalar, not a tuple, when there is one
         state)."""
         return tuple(itemgetter(*col) for col in self._columns)
+
+    @cached_property
+    def _identity(self) -> tuple[int, ...]:
+        """The map from every state to itself, ``(0, ..., n - 1)``."""
+        return tuple(range(len(self.state_poset)))
+
+    @cached_property
+    def _bound(self) -> int:
+        """The acceptance bound of a cell draw on this grid
+        (:func:`acceptance_bound`); a ``ValueError`` for ``L > 2**64``."""
+        return acceptance_bound(self.L)
 
     @cached_property
     def _extremals(self) -> tuple[int, ...]:
@@ -298,8 +310,11 @@ def cftp_sample(gc: GrandCoupling, seed: int, stream: int = 0,
 
     ``comp[i]`` is the state index at time 0 reached from state ``i`` at
     time ``-t``; each step back puts the cell at time ``-(t + 1)`` in front
-    (``comp = _steps[cell](comp)``), so every time's cell is drawn once,
-    from a counter-based sampler keyed by ``(seed, stream)``.  Full-state
+    (``comp = _steps[cell](comp)``), so every time's cell is drawn once.
+    The cells are those of ``CellSampler(gc.L, seed, stream)``: the
+    attempt-0 word of time ``t`` is hashed here, from the one keyed hash
+    of the draw, and a rejected word (rarer than ``L / 2**64``) is handed
+    to ``cell_at``, the one definition of rejection.  Full-state
     tracking decides: the draw is returned as soon as ``comp`` is
     constant, which it then stays for every earlier start (Propp and
     Wilson, 1996), so it is the value that epochs of doubled length
@@ -310,22 +325,28 @@ def cftp_sample(gc: GrandCoupling, seed: int, stream: int = 0,
     refused first, by its cached verdict.
     """
     _require_ergodic_table(gc)
-    cell_at = CellSampler(gc.L, seed, stream).cell_at
+    L = gc.L
+    bound = gc._bound
+    keyed = keyed_hash(seed, stream)
+    pack = COUNTER.pack
     steps = gc._steps
-    extremals = gc._extremals
-    n = len(gc.state_poset)
-    comp = tuple(range(n))  # composed map over times -t..-1
+    comp = gc._identity  # composed map over times -t..-1
+    n = len(comp)
     t = 0
     T = 1
     while comp.count(comp[0]) < n:
         if t == T:
-            if len({comp[i] for i in extremals}) == 1:
+            if len({comp[i] for i in gc._extremals}) == 1:
                 raise ContractViolation("trackers disagree", T)
             if T >= max_epoch:
                 raise BudgetExceeded(f"no coalescence by epoch {T}")
             T *= 2
         t += 1
-        comp = steps[cell_at(t)](comp)
+        h = keyed.copy()
+        h.update(pack(t % 2**64, 0))
+        word = int.from_bytes(h.digest(), "big")
+        comp = steps[word % L if word < bound
+                     else CellSampler(L, seed, stream).cell_at(t)](comp)
     return gc.state_poset.elements[comp[0]]
 
 

@@ -6,7 +6,8 @@ All formats share the same skeleton: UTF-8, one directive per line,
 Serializers emit a canonical form (stable element order, sorted covers
 and atoms) so outputs are byte-diffable.  Parsers raise only
 :class:`MonosyncError`: a :class:`ParseError` naming the path and line
-for text that breaks a format, including bytes that are not UTF-8.
+for text that breaks a format, including bytes that are not UTF-8,
+and for a measure, a name or an assignment that its file gets wrong.
 
 System and kernel files reference their poset and measure files by
 path, resolved relative to the referencing file.
@@ -28,7 +29,7 @@ from .coupling import (
     MeasureSystem,
     measure_system,
 )
-from .errors import ParseError, SizeLimit
+from .errors import InvalidMeasure, ParseError, SizeLimit
 from .measure import RationalMeasure, rational_measure, shown
 from .poset import Poset, covers, validate_poset
 from .synchronize import CellPermutation
@@ -112,6 +113,9 @@ def parse_poset(path: str | Path) -> Poset:
     for lineno, parts in _read_lines(path):
         if parts[0] == "element":
             (name,) = _args(path, lineno, parts, 1)
+            if "," in name:  # joins the states of atoms and up-sets
+                raise ParseError(str(path), lineno,
+                                 f"element name {name!r} contains ','")
             elements.append(name)
         elif parts[0] in ("cover", "leq"):
             lo, hi = _args(path, lineno, parts, 2)
@@ -130,9 +134,15 @@ def serialize_poset(poset: Poset) -> str:
 
 def parse_measures(path: str | Path, poset: Poset,
                    ) -> dict[str, RationalMeasure]:
-    """Labeled measures over the poset's ground set; absent masses are zero."""
+    """Labeled measures over the poset's ground set; absent masses are zero.
+
+    A mass for an unknown element is refused at its line, and masses
+    that are negative or do not sum to one at their measure's header.
+    """
     path = Path(path)
+    known = set(poset.elements)
     raw: dict[str, dict[str, Fraction]] = {}
+    headers: dict[str, int] = {}
     label: str | None = None
     for lineno, parts in _read_lines(path):
         if parts[0] == "measure":
@@ -141,11 +151,15 @@ def parse_measures(path: str | Path, poset: Poset,
                 raise ParseError(str(path), lineno,
                                  f"duplicate measure label {label!r}")
             raw[label] = {}
+            headers[label] = lineno
         elif parts[0] == "mass":
             el, frac = _args(path, lineno, parts, 2)
             if label is None:
                 raise ParseError(str(path), lineno,
                                  "mass line before any measure header")
+            if el not in known:
+                raise ParseError(str(path), lineno,
+                                 f"mass given for unknown element {el!r}")
             if el in raw[label]:
                 raise ParseError(str(path), lineno,
                                  f"duplicate mass for {el!r} in {label!r}")
@@ -153,10 +167,13 @@ def parse_measures(path: str | Path, poset: Poset,
         else:
             raise ParseError(str(path), lineno,
                              f"unknown directive {parts[0]!r}")
-    return {
-        lbl: rational_measure(poset.elements, masses)
-        for lbl, masses in raw.items()
-    }
+    measures: dict[str, RationalMeasure] = {}
+    for lbl, masses in raw.items():
+        try:
+            measures[lbl] = rational_measure(poset.elements, masses)
+        except InvalidMeasure as e:  # a negative mass or a wrong sum
+            raise ParseError(str(path), headers[lbl], str(e)) from e
+    return measures
 
 
 def serialize_measures(measures: Mapping[str, RationalMeasure]) -> str:
@@ -225,10 +242,19 @@ def _parse_bindings(path: Path, want_index: bool):
         bound[alpha] = labeled[label]
 
     index_poset = parse_poset(base / index_ref[1]) if want_index else state_poset
+    index_line, _ = index_ref if want_index else states_ref
     if not index_poset.elements:
-        lineno, _ = index_ref if want_index else states_ref
         kind = "index" if want_index else "state"
-        raise ParseError(str(path), lineno, f"{kind} poset has no elements")
+        raise ParseError(str(path), index_line, f"{kind} poset has no elements")
+    indices = set(index_poset.elements)
+    for lineno, alpha, _ in assigns:
+        if alpha not in indices:
+            raise ParseError(str(path), lineno,
+                             f"assign for unknown index {alpha!r}")
+    for alpha in index_poset.elements:
+        if alpha not in bound:
+            raise ParseError(str(path), index_line,
+                             f"no measure assigned to index {alpha!r}")
     return index_poset, state_poset, bound
 
 

@@ -66,7 +66,7 @@ from monosync.poset import (
     root_tree,
     validate_poset,
 )
-from monosync.rng import CellSampler
+from monosync.rng import CellSampler, acceptance_bound
 from monosync.synchronize import (
     MAX_GRID_CELLS,
     Violation,
@@ -405,6 +405,43 @@ def test_sample_many_stream_pinned(w6, name, seed, n, digest):
     assert hashlib.sha256(" ".join(draws).encode()).hexdigest() == digest
     _, p = chi_square_fit(Counter(draws), stationary_exact(kern))
     assert p > 0.001
+
+
+@pytest.mark.parametrize("name", ["walk16", "w6"])
+def test_rejected_words_take_the_cell_sampler(monkeypatch, w6, name):
+    # with the table's bound at 2**63 about half of the words count as
+    # rejected and are handed to cell_at, which must give the same cells
+    kern = lazy_walk_16() if name == "walk16" else w6_shifted_mixture(w6)
+    gc = build_grand_coupling(kern)
+    unpatched = sample_many(gc, seed=31, n=40)
+    assert gc._bound == CellSampler(gc.L, 31, 0)._bound > 2**63
+    calls = []
+    cell_at = CellSampler.cell_at
+
+    def counted(self, t):
+        calls.append(t)
+        return cell_at(self, t)
+
+    monkeypatch.setattr(CellSampler, "cell_at", counted)
+    monkeypatch.setitem(gc.__dict__, "_bound", 2**63)
+    patched = sample_many(gc, seed=31, n=40)
+    assert calls and patched == unpatched
+    assert patched == tuple(doubling_cftp_sample(gc, 31, stream=k)
+                            for k in range(40))
+
+
+def test_grid_beyond_two_to_the_64_is_refused(chain2_kernel):
+    # no word could be accepted on such a grid; the bound refuses it as
+    # the sampler's constructor does, after the ergodicity verdict
+    gc = build_grand_coupling(chain2_kernel)
+    object.__setattr__(gc, "L", 2**64 + 1)
+    with pytest.raises(ValueError, match="exceeds 2\\*\\*64"):
+        cftp_sample(gc, seed=1)
+    for L in (2**64 + 1, 2**200):
+        with pytest.raises(ValueError, match="exceeds"):
+            acceptance_bound(L)
+    assert acceptance_bound(2**64) == 2**64
+    assert acceptance_bound(3) == 2**64 - 1
 
 
 def test_ergodicity_verdicts(chain2):

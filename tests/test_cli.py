@@ -343,6 +343,22 @@ def test_non_utf8_file_is_input_error(capsys, tmp_path):
     assert err == f"error: {bad}:2: not UTF-8: byte 0xff\n"
 
 
+def test_comma_in_element_name_is_input_error(capsys, data_dir, tmp_path):
+    # a coupling atom 'a,b,c' could not be read back as two states
+    states = tmp_path / "comma.poset"
+    states.write_text("element a,b\nelement c\ncover a,b c\n")
+    (tmp_path / "m.measures").write_text(
+        "measure lo\nmass a,b 1/2\nmass c 1/2\nmeasure hi\nmass c 1\n")
+    system = tmp_path / "comma.system"
+    system.write_text(f"index {data_dir / 'pair.poset'}\nstates comma.poset\n"
+                      "measures m.measures\nassign 1 lo\nassign 2 hi\n")
+    rc, out, err = run(capsys, "check", "--system", str(system),
+                       "--out", str(tmp_path))
+    assert rc == 2 and out == []
+    assert err == f"error: {states}:1: element name 'a,b' contains ','\n"
+    assert list(tmp_path.glob("*.coupling")) == []
+
+
 def test_exponent_mass_is_input_error(capsys, data_dir, tmp_path):
     # a decimal exponent expands to 10**5000; only p/q and integers parse
     rows = tmp_path / "rows.measures"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monosync.coupling import Coupling, InfeasibilityCertificate, realize
-from monosync.errors import InvalidMeasure, MonosyncError, ParseError
+from monosync.errors import MonosyncError, ParseError
 from monosync.formats import (
     parse_certificate,
     parse_coupling,
@@ -134,6 +134,11 @@ def test_parse_errors(tmp_path, w6):
     bad.write_text("element a\ncover a\n")
     with pytest.raises(ParseError, match="takes 2"):
         parse_poset(bad)
+    # ',' joins the states of coupling atoms and witness up-sets
+    bad.write_text("element a,b\nelement c\ncover a,b c\n")
+    with pytest.raises(ParseError, match="contains ','") as err:
+        parse_poset(bad)
+    assert err.value.lineno == 1
 
     m = tmp_path / "bad.measures"
     m.write_text("mass x 1/2\n")
@@ -148,13 +153,23 @@ def test_parse_errors(tmp_path, w6):
     m.write_text("measure p\nmass x 1/2\nmeasure p\n")
     with pytest.raises(ParseError, match="duplicate measure label"):
         parse_measures(m, w6)
-    m.write_text("measure p\nmass x 1/2\n")
-    with pytest.raises(InvalidMeasure):
-        parse_measures(m, w6)
+    # a wrong sum or a negative mass at the measure's header line, an
+    # unknown element at its mass line
+    for text, message, lineno in (
+            ("measure p\nmass x 1\nmeasure q\nmass x 1/2\n",
+             "masses sum to 1/2, not 1", 3),
+            ("measure p\nmass x 4/3\nmass y -1/3\n",
+             "negative mass -1/3 at 'y'", 1),
+            ("measure p\nmass x 1/2\nmass zz 1/2\n",
+             "mass given for unknown element 'zz'", 3)):
+        m.write_text(text)
+        with pytest.raises(ParseError, match=message) as err:
+            parse_measures(m, w6)
+        assert (err.value.path, err.value.lineno) == (str(m), lineno)
     # each mass fits the int-to-str digit limit, their sum does not
     m.write_text("measure p\n" + "".join(
         f"mass {x} 1/{d}{'0' * 2998}1\n" for x, d in zip("xyz", (1, 3, 7))))
-    with pytest.raises(InvalidMeasure, match="too long to print"):
+    with pytest.raises(ParseError, match="too long to print"):
         parse_measures(m, w6)
 
     c = tmp_path / "bad.coupling"
@@ -185,6 +200,28 @@ def test_parse_errors(tmp_path, w6):
     s.write_text("states nope.poset\nmeasures nope.measures\nassign a p\n")
     with pytest.raises(ParseError, match="missing index"):
         parse_system(s)
+
+    # an index with no measure at the line naming the index poset, an
+    # assignment to an unknown index at its own line
+    for name in ("chain2.poset", "chain2.measures", "pair.poset"):
+        shutil.copy(DATA_DIR / name, tmp_path / name)
+    k = tmp_path / "bad.kernel"
+    for text, message, lineno in (
+            ("states chain2.poset\nmeasures chain2.measures\nassign lo up\n",
+             "no measure assigned to index 'hi'", 1),
+            ("measures chain2.measures\nstates chain2.poset\nassign lo up\n"
+             "assign hi down\nassign zz up\n",
+             "assign for unknown index 'zz'", 5)):
+        k.write_text(text)
+        with pytest.raises(ParseError, match=message) as err:
+            parse_kernel(k)
+        assert (err.value.path, err.value.lineno) == (str(k), lineno)
+    s.write_text("states chain2.poset\nmeasures chain2.measures\n"
+                 "index pair.poset\nassign 1 up\n")
+    with pytest.raises(ParseError, match="no measure assigned to index '2'"
+                       ) as err:
+        parse_system(s)
+    assert err.value.lineno == 3
 
 
 # per format: a canonical file to mutate, and its parser
