@@ -94,6 +94,13 @@ def _not_realizable(args: argparse.Namespace,
     return EXIT_FALSE
 
 
+def _not_monotone(alpha: str, beta: str, upset: frozenset[str]) -> int:
+    """Report the pair and up-set that violate stochastic monotonicity."""
+    print("not stochastically monotone")
+    print(f"witness {alpha} {beta} {','.join(sorted(upset))}")
+    return EXIT_FALSE
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     poset = parse_poset(args.poset)
     print(f"elements {len(poset)}")
@@ -109,10 +116,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     system = parse_system(args.system)
     verdict = is_stoch_monotone(system)
     if not verdict:
-        alpha, beta, upset = verdict.witness
-        print("not stochastically monotone")
-        print(f"witness {alpha} {beta} {','.join(sorted(upset))}")
-        return EXIT_FALSE
+        return _not_monotone(*verdict.witness)
     print("stochastically monotone")
     result = realize(system, args.cap_tuples)
     if isinstance(result, InfeasibilityCertificate):
@@ -159,9 +163,7 @@ def cmd_cftp(args: argparse.Namespace) -> int:
     try:
         built = build_grand_coupling(kern, args.cap_tuples)
     except NotStochMonotone as e:
-        print("not stochastically monotone")
-        print(f"witness {e.args[1]} {e.args[2]} {','.join(sorted(e.args[3]))}")
-        return EXIT_FALSE
+        return _not_monotone(*e.args[1:])
     if isinstance(built, InfeasibilityCertificate):
         return _not_realizable(args, built)
     try:

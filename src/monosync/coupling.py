@@ -441,9 +441,9 @@ def verify_certificate(system: MeasureSystem,
 def check_coupling(system: MeasureSystem, coupling: Coupling) -> None:
     """Check exact marginals, weight normalization, and tuple monotonicity.
 
-    Raises :class:`ContractViolation` on the first violation; its witness
-    is ``("index_order", order)``, ``("total", total)``, ``("weight",
-    tuple)``, ``("order", tuple, a, b)`` or ``("marginal", alpha, state)``.
+    Raises :class:`ContractViolation` on the first violation, witness
+    ``("index_order", order)``, ``("total", total)``, ``("length", tup)``,
+    ``("weight", tup)``, ``("order", tup, a, b)`` or ``("marginal", a, x)``.
     """
     def fail(*witness):
         raise ContractViolation(f"coupling fails its check: {witness}",
@@ -455,6 +455,8 @@ def check_coupling(system: MeasureSystem, coupling: Coupling) -> None:
         fail("total", coupling.total())
     A, S = system.index_poset, system.state_poset
     for tup, w in coupling.atoms.items():
+        if len(tup) != len(A):
+            fail("length", tup)
         if not w > 0:
             fail("weight", tup)
         for i, j in A.arcs:

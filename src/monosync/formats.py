@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 import stat
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -29,16 +30,28 @@ from .coupling import (
     MeasureSystem,
     measure_system,
 )
-from .errors import InvalidMeasure, ParseError, SizeLimit
+from .errors import (CycleError, DuplicateElement, InvalidMeasure,
+                     ParseError, SizeLimit, UnknownElement)
 from .measure import RationalMeasure, rational_measure, shown
 from .poset import Poset, covers, validate_poset
 from .synchronize import CellPermutation
 
-Lines = list[tuple[int, list[str]]]
+# A format is a table: each directive with its argument count and how
+# often it appears, "*" any number of times, "+" at least once, "1" once.
+_POSET = {"element": (1, "*"), "cover": (2, "*"), "leq": (2, "*")}
+_MEASURES = {"measure": (1, "*"), "mass": (2, "*")}
+_SYSTEM = {"index": (1, "1"), "states": (1, "1"), "measures": (1, "+"),
+           "assign": (2, "*")}
+_KERNEL = {k: v for k, v in _SYSTEM.items() if k != "index"}
+_COUPLING = {"atom": (2, "*")}
+_PHI = {"cells": (1, "1"), "map": (2, "*")}
+_CERTIFICATE = {"dual": (3, "*"), "gap": (1, "1")}
 
 
-def _read_lines(path: Path) -> Lines:
-    out: Lines = []
+def _directives(path: Path, table: Mapping[str, tuple[int, str]]):
+    """Each directive of ``path`` as ``(line, directive, args)``, in order,
+    checked against ``table`` at its line, or after the last for one that
+    is missing; lazily, so a caller's error at an earlier line comes first."""
     try:
         if not stat.S_ISREG(path.stat().st_mode):
             # a FIFO blocks the read and a device need never end
@@ -52,23 +65,40 @@ def _read_lines(path: Path) -> Lines:
         lineno = len((data[:e.start].decode("utf-8") + "x").splitlines())
         raise ParseError(str(path), lineno,
                          f"not UTF-8: byte {data[e.start]:#04x}") from e
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((lineno, line.split()))
-    return out
+        parts = raw.partition("#")[0].split()
+        if not parts:
+            continue
+        directive = parts.pop(0)
+        try:
+            n, times = table[directive]
+        except KeyError:
+            raise ParseError(str(path), lineno,
+                             f"unknown directive {directive!r}") from None
+        if len(parts) != n:
+            raise ParseError(str(path), lineno, f"{directive} takes {n} "
+                             f"argument(s), got {len(parts)}")
+        if times == "1" and directive in seen:
+            raise ParseError(str(path), lineno, f"duplicate {directive} line")
+        if times != "*":
+            seen.add(directive)
+        yield lineno, directive, parts
+    for directive, (_, times) in table.items():
+        if times != "*" and directive not in seen:
+            raise ParseError(str(path), 0, f"missing {directive} line")
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _NATURAL = re.compile(r"[0-9]+")
 
 
 def _fraction(path: Path, lineno: int, token: str) -> Fraction:
     """An optionally signed integer or ``p/q``, the form serializers emit;
     no decimals or exponents, whose expansion can be unboundedly large."""
-    if _RATIONAL.fullmatch(token):
+    if m := _RATIONAL.fullmatch(token):
         try:
-            return Fraction(token)
+            return Fraction(int(m[1]), int(m[2] or 1))
         except (ValueError, ZeroDivisionError):  # too many digits, q = 0
             pass
     raise ParseError(str(path), lineno, f"bad rational {token!r}")
@@ -99,31 +129,41 @@ def frac_str(value: Fraction) -> str:
         ) from e
 
 
-def _args(path: Path, lineno: int, parts: list[str], n: int) -> list[str]:
-    if len(parts) - 1 != n:
-        raise ParseError(str(path), lineno,
-                         f"{parts[0]} takes {n} argument(s), got {len(parts) - 1}")
-    return parts[1:]
-
-
 def parse_poset(path: str | Path) -> Poset:
+    """The poset of ``path``; :func:`validate_poset`'s errors are refused at
+    the second ``element`` line of a name or the first order line at which
+    the pairs so far fail."""
     path = Path(path)
     elements: list[str] = []
-    pairs: list[tuple[str, str]] = []
-    for lineno, parts in _read_lines(path):
-        if parts[0] == "element":
-            (name,) = _args(path, lineno, parts, 1)
+    element_lines: list[int] = []
+    pairs: list[list[str]] = []
+    pair_lines: list[int] = []
+    for lineno, directive, args in _directives(path, _POSET):
+        if directive == "element":
+            (name,) = args
             if "," in name:  # joins the states of atoms and up-sets
                 raise ParseError(str(path), lineno,
                                  f"element name {name!r} contains ','")
             elements.append(name)
-        elif parts[0] in ("cover", "leq"):
-            lo, hi = _args(path, lineno, parts, 2)
-            pairs.append((lo, hi))
+            element_lines.append(lineno)
         else:
-            raise ParseError(str(path), lineno,
-                             f"unknown directive {parts[0]!r}")
-    return validate_poset(elements, pairs)
+            pairs.append(args)
+            pair_lines.append(lineno)
+    try:
+        return validate_poset(elements, pairs)
+    except DuplicateElement as e:
+        i = next(i for i, x in enumerate(elements) if elements.index(x) < i)
+        raise ParseError(str(path), element_lines[i], str(e)) from e
+    except (UnknownElement, CycleError) as e:
+        # unknown names are sought first, so the failing prefixes only grow
+        def fails(k: int) -> bool:
+            try:
+                validate_poset(elements, pairs[:k + 1])
+            except (UnknownElement, CycleError) as early:
+                return type(early) is type(e)
+            return False
+        k = bisect_left(range(len(pairs)), True, key=fails)
+        raise ParseError(str(path), pair_lines[k], str(e)) from e
 
 
 def serialize_poset(poset: Poset) -> str:
@@ -144,16 +184,16 @@ def parse_measures(path: str | Path, poset: Poset,
     raw: dict[str, dict[str, Fraction]] = {}
     headers: dict[str, int] = {}
     label: str | None = None
-    for lineno, parts in _read_lines(path):
-        if parts[0] == "measure":
-            (label,) = _args(path, lineno, parts, 1)
+    for lineno, directive, args in _directives(path, _MEASURES):
+        if directive == "measure":
+            (label,) = args
             if label in raw:
                 raise ParseError(str(path), lineno,
                                  f"duplicate measure label {label!r}")
             raw[label] = {}
             headers[label] = lineno
-        elif parts[0] == "mass":
-            el, frac = _args(path, lineno, parts, 2)
+        else:
+            el, frac = args
             if label is None:
                 raise ParseError(str(path), lineno,
                                  "mass line before any measure header")
@@ -164,9 +204,6 @@ def parse_measures(path: str | Path, poset: Poset,
                 raise ParseError(str(path), lineno,
                                  f"duplicate mass for {el!r} in {label!r}")
             raw[label][el] = _fraction(path, lineno, frac)
-        else:
-            raise ParseError(str(path), lineno,
-                             f"unknown directive {parts[0]!r}")
     measures: dict[str, RationalMeasure] = {}
     for lbl, masses in raw.items():
         try:
@@ -187,41 +224,20 @@ def serialize_measures(measures: Mapping[str, RationalMeasure]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_bindings(path: Path, want_index: bool):
-    path = Path(path)
-    index_ref: tuple[int, str] | None = None
-    states_ref: tuple[int, str] | None = None
+def _parse_bindings(path: Path, table: Mapping[str, tuple[int, str]]):
+    refs: dict[str, tuple[int, str]] = {}  # index and states: line, path
     measure_refs: list[str] = []
     assigns: list[tuple[int, str, str]] = []
-    for lineno, parts in _read_lines(path):
-        if parts[0] == "index" and want_index:
-            (ref,) = _args(path, lineno, parts, 1)
-            if index_ref is not None:
-                raise ParseError(str(path), lineno, "duplicate index line")
-            index_ref = (lineno, ref)
-        elif parts[0] == "states":
-            (ref,) = _args(path, lineno, parts, 1)
-            if states_ref is not None:
-                raise ParseError(str(path), lineno, "duplicate states line")
-            states_ref = (lineno, ref)
-        elif parts[0] == "measures":
-            (ref,) = _args(path, lineno, parts, 1)
-            measure_refs.append(ref)
-        elif parts[0] == "assign":
-            alpha, label = _args(path, lineno, parts, 2)
-            assigns.append((lineno, alpha, label))
+    for lineno, directive, args in _directives(path, table):
+        if directive == "assign":
+            assigns.append((lineno, *args))
+        elif directive == "measures":
+            measure_refs.append(args[0])
         else:
-            raise ParseError(str(path), lineno,
-                             f"unknown directive {parts[0]!r}")
-    if want_index and index_ref is None:
-        raise ParseError(str(path), 0, "missing index line")
-    if states_ref is None:
-        raise ParseError(str(path), 0, "missing states line")
-    if not measure_refs:
-        raise ParseError(str(path), 0, "missing measures line")
+            refs[directive] = (lineno, args[0])
 
     base = path.parent
-    state_poset = parse_poset(base / states_ref[1])
+    state_poset = parse_poset(base / refs["states"][1])
     labeled: dict[str, RationalMeasure] = {}
     for ref in measure_refs:
         batch = parse_measures(base / ref, state_poset)
@@ -241,10 +257,11 @@ def _parse_bindings(path: Path, want_index: bool):
                              f"duplicate assign for {alpha!r}")
         bound[alpha] = labeled[label]
 
-    index_poset = parse_poset(base / index_ref[1]) if want_index else state_poset
-    index_line, _ = index_ref if want_index else states_ref
+    kind = "index" if "index" in refs else "state"
+    index_line, index_ref = refs.get("index", refs["states"])
+    index_poset = (state_poset if kind == "state"
+                   else parse_poset(base / index_ref))
     if not index_poset.elements:
-        kind = "index" if want_index else "state"
         raise ParseError(str(path), index_line, f"{kind} poset has no elements")
     indices = set(index_poset.elements)
     for lineno, alpha, _ in assigns:
@@ -259,23 +276,21 @@ def _parse_bindings(path: Path, want_index: bool):
 
 
 def parse_system(path: str | Path) -> MeasureSystem:
-    index_poset, state_poset, bound = _parse_bindings(Path(path), True)
+    index_poset, state_poset, bound = _parse_bindings(Path(path), _SYSTEM)
     return measure_system(index_poset, state_poset, bound)
 
 
 def serialize_system(index_ref: str, states_ref: str,
                      measure_refs: Sequence[str],
                      assigns: Mapping[str, str]) -> str:
-    lines = [f"index {index_ref}", f"states {states_ref}"]
-    lines += [f"measures {ref}" for ref in measure_refs]
-    lines += [f"assign {a} {lbl}" for a, lbl in assigns.items()]
-    return "\n".join(lines) + "\n"
+    return f"index {index_ref}\n" + serialize_kernel(states_ref, measure_refs,
+                                                     assigns)
 
 
 def parse_kernel(path: str | Path) -> Kernel:
     """Kernel files are system files without an index line: the rows are
     indexed by the state poset itself."""
-    _, state_poset, bound = _parse_bindings(Path(path), False)
+    _, state_poset, bound = _parse_bindings(Path(path), _KERNEL)
     return kernel(state_poset, bound)
 
 
@@ -291,11 +306,7 @@ def parse_coupling(path: str | Path,
                    index_order: Sequence[str]) -> Coupling:
     path = Path(path)
     atoms: dict[tuple[str, ...], Fraction] = {}
-    for lineno, parts in _read_lines(path):
-        if parts[0] != "atom":
-            raise ParseError(str(path), lineno,
-                             f"unknown directive {parts[0]!r}")
-        tup_str, frac = _args(path, lineno, parts, 2)
+    for lineno, _, (tup_str, frac) in _directives(path, _COUPLING):
         tup = tuple(tup_str.split(","))
         if len(tup) != len(index_order):
             raise ParseError(str(path), lineno,
@@ -321,30 +332,21 @@ def serialize_coupling(coupling: Coupling) -> str:
 
 def parse_phi(path: str | Path) -> CellPermutation:
     path = Path(path)
-    L: int | None = None
     images: dict[int, int] = {}
-    for lineno, parts in _read_lines(path):
-        if parts[0] == "cells":
-            (tok,) = _args(path, lineno, parts, 1)
-            if L is not None:
-                raise ParseError(str(path), lineno, "duplicate cells line")
+    for lineno, directive, args in _directives(path, _PHI):
+        if directive == "cells":
+            (tok,) = args
             L = _natural(path, lineno, tok, f"bad grid size {tok!r}")
             if L == 0:
                 raise ParseError(str(path), lineno, f"bad grid size {tok!r}")
-        elif parts[0] == "map":
-            i_tok, j_tok = _args(path, lineno, parts, 2)
+        else:
             i, j = (_natural(path, lineno, tok, "map arguments must be cells")
-                    for tok in (i_tok, j_tok))
+                    for tok in args)
             if i in images:
                 raise ParseError(str(path), lineno, f"duplicate map for cell {i}")
             images[i] = j
-        else:
-            raise ParseError(str(path), lineno,
-                             f"unknown directive {parts[0]!r}")
-    if L is None:
-        raise ParseError(str(path), 0, "missing cells line")
-    # the keys are distinct naturals, so this is ``set(images) == range(L)``
-    # without building a range as large as the declared grid
+    # L is bound by the one cells line; the keys are distinct naturals, so
+    # this is ``set(images) == range(L)`` without building a huge range
     if len(images) != L or any(i >= L for i in images):
         raise ParseError(str(path), 0, "map lines do not cover every cell once")
     return CellPermutation(L, tuple(images[i] for i in range(L)))
@@ -359,24 +361,15 @@ def serialize_phi(phi: CellPermutation) -> str:
 def parse_certificate(path: str | Path) -> InfeasibilityCertificate:
     path = Path(path)
     dual: dict[tuple[str, str], Fraction] = {}
-    gap: Fraction | None = None
-    for lineno, parts in _read_lines(path):
-        if parts[0] == "dual":
-            alpha, state, frac = _args(path, lineno, parts, 3)
+    for lineno, directive, args in _directives(path, _CERTIFICATE):
+        if directive == "dual":
+            alpha, state, frac = args
             if (alpha, state) in dual:
                 raise ParseError(str(path), lineno,
                                  f"duplicate dual entry {alpha} {state}")
             dual[(alpha, state)] = _fraction(path, lineno, frac)
-        elif parts[0] == "gap":
-            (frac,) = _args(path, lineno, parts, 1)
-            if gap is not None:
-                raise ParseError(str(path), lineno, "duplicate gap line")
-            gap = _fraction(path, lineno, frac)
-        else:
-            raise ParseError(str(path), lineno,
-                             f"unknown directive {parts[0]!r}")
-    if gap is None:
-        raise ParseError(str(path), 0, "missing gap line")
+        else:  # the reader refuses a file without one gap line
+            gap = _fraction(path, lineno, args[0])
     return InfeasibilityCertificate(dual, gap)
 
 

@@ -255,14 +255,16 @@ def check_cell_tables(system: MeasureSystem, L: int,
                       tables: Mapping[str, tuple[str, ...]]) -> Verdict:
     """Full recomputation of the cell-table contract.
 
-    Counts: the row of each index must give every state exactly mass
-    times L cells; the witness is ``("counts", index, state)``.  Order:
-    no cell may map a comparable index pair out of order.  That is
-    decided on the cover pairs of the index poset, which is exact
-    because the state order is transitive; the witness is the first
+    Counts: each index's row must hold L cells (else the witness is
+    ``("cells", index)``), mass times L for each state (else ``("counts",
+    index, state)``).  Order: no cell may map a comparable index pair out
+    of order, decided on the cover pairs of the index poset, exact as the
+    state order is transitive; the witness is the first
     :class:`Violation` over every comparable pair, scanned cell by cell.
     """
     for alpha in system.index_poset.elements:
+        if len(tables[alpha]) != L:
+            return Verdict(False, ("cells", alpha))
         counts = Counter(tables[alpha])
         mass = system.measure_of(alpha).mass
         for s in system.state_poset.elements:
@@ -270,7 +272,7 @@ def check_cell_tables(system: MeasureSystem, L: int,
             if counts[s] * m.denominator != m.numerator * L:
                 return Verdict(False, ("counts", alpha, s))
     leq = system.state_poset.leq
-    if all(all(map(leq, tables[a][:L], tables[b][:L]))
+    if all(all(map(leq, tables[a], tables[b]))
            for a, b in covers(system.index_poset)):
         return Verdict(True)
     return Verdict(False, next(table_violations(system, L, tables)))

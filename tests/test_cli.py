@@ -359,6 +359,26 @@ def test_comma_in_element_name_is_input_error(capsys, data_dir, tmp_path):
     assert list(tmp_path.glob("*.coupling")) == []
 
 
+@pytest.mark.parametrize("text, lineno, message", [
+    ("element a\nelement a\n", 2, "element 'a' declared twice"),
+    ("element a\nelement b\ncover a b\nleq b c\ncover c a\nelement d\n",
+     4, "unknown element 'c'"),
+    # unknown names are reported before cycles, wherever the cycle closes
+    ("element a\nelement b\ncover a b\ncover b a\nleq a zz\n", 5,
+     "unknown element 'zz'"),
+    # the pairs read so far first hold a cycle at the leq line
+    ("element a\nelement b\nelement c\ncover a b\nleq b c\n# c < a\n"
+     "leq c a\ncover b a\n", 7, "'a' and 'b' are in a cycle"),
+])
+def test_bad_order_is_input_error_at_its_line(capsys, tmp_path, text, lineno,
+                                              message):
+    poset = tmp_path / "bad.poset"
+    poset.write_text(text)
+    rc, out, err = run(capsys, "classify", "--poset", str(poset))
+    assert rc == 2 and out == []
+    assert err == f"error: {poset}:{lineno}: {message}\n"
+
+
 def test_exponent_mass_is_input_error(capsys, data_dir, tmp_path):
     # a decimal exponent expands to 10**5000; only p/q and integers parse
     rows = tmp_path / "rows.measures"

@@ -526,6 +526,12 @@ def test_check_coupling_rejects_bad_marginal(w6_system, showcase_coupling):
     assert err.value.witness == ("marginal", "1", "x")
 
 
+def test_check_coupling_rejects_short_atom(w6_system):
+    with pytest.raises(ContractViolation) as err:
+        check_coupling(w6_system, Coupling(("1", "2"), {("x",): Fraction(1)}))
+    assert err.value.witness == ("length", ("x",))
+
+
 def test_pair_system_shape(p1, p2, w6):
     system = pair_system(p1, p2, w6)
     assert system.index_poset.elements == ("1", "2")

@@ -1,6 +1,8 @@
 """Text formats: round trips against the shipped fixtures and error paths."""
 
+import hashlib
 import random
+import re
 import shutil
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monosync.coupling import Coupling, InfeasibilityCertificate, realize
+from monosync import formats
 from monosync.errors import MonosyncError, ParseError
 from monosync.formats import (
     parse_certificate,
@@ -224,47 +227,89 @@ def test_parse_errors(tmp_path, w6):
     assert err.value.lineno == 3
 
 
-# per format: a canonical file to mutate, and its parser
+def test_readme_lists_every_directive():
+    """The README's table of file formats names each directive with as
+    many arguments as its parser reads."""
+    readme = (DATA_DIR.parent / "README.md").read_text()
+    section = readme.split("## File formats", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| (\w+) \| (.*) \|$", section, re.M))
+    tables = {"poset": formats._POSET, "measures": formats._MEASURES,
+              "system": formats._SYSTEM, "coupling": formats._COUPLING,
+              "phi": formats._PHI, "certificate": formats._CERTIFICATE}
+    assert set(rows) == {"kind", "kernel", *tables}
+    for kind, table in tables.items():
+        listed = [code.split()
+                  for code in re.findall(r"`([^`]+)`", rows[kind])]
+        assert {d[0]: len(d) - 1 for d in listed} == {
+            directive: n for directive, (n, _) in table.items()}, kind
+    assert rows["kernel"].startswith("system without the `index` line")
+    assert formats._KERNEL == {directive: spec for directive, spec
+                               in formats._SYSTEM.items()
+                               if directive != "index"}
+
+
+def system_text(system):
+    return (serialize_poset(system.index_poset)
+            + serialize_poset(system.state_poset)
+            + serialize_measures(system.measures))
+
+
+def kernel_text(kern):
+    return serialize_poset(kern.state_poset) + serialize_measures(kern.rows)
+
+
+# per format: a canonical file to mutate, and its parser followed by its
+# serializer, so that an outcome is text
 FUZZ = {
-    "poset": ((DATA_DIR / "w6.poset").read_text(), parse_poset),
+    "poset": ((DATA_DIR / "w6.poset").read_text(),
+              lambda path: serialize_poset(parse_poset(path))),
     "measures": ((DATA_DIR / "w6.measures").read_text(),
-                 lambda path: parse_measures(
-                     path, parse_poset(DATA_DIR / "w6.poset"))),
-    "system": ((DATA_DIR / "w6.system").read_text(), parse_system),
-    "kernel": ((DATA_DIR / "chain2.kernel").read_text(), parse_kernel),
+                 lambda path: serialize_measures(parse_measures(
+                     path, parse_poset(DATA_DIR / "w6.poset")))),
+    "system": ((DATA_DIR / "w6.system").read_text(),
+               lambda path: system_text(parse_system(path))),
+    "kernel": ((DATA_DIR / "chain2.kernel").read_text(),
+               lambda path: kernel_text(parse_kernel(path))),
     "coupling": (serialize_coupling(Coupling(("1", "2"), SHOWCASE_ATOMS)),
-                 lambda path: parse_coupling(path, ("1", "2"))),
-    "phi": (serialize_phi(CellPermutation(15, PHI2_15)), parse_phi),
+                 lambda path: serialize_coupling(
+                     parse_coupling(path, ("1", "2")))),
+    "phi": (serialize_phi(CellPermutation(15, PHI2_15)),
+            lambda path: serialize_phi(parse_phi(path))),
     "certificate": ((DATA_DIR / "diamond_infeasible.cert").read_text(),
-                    parse_certificate),
+                    lambda path: serialize_certificate(
+                        parse_certificate(path))),
 }
 
-TOKENS = st.one_of(
-    st.text("aex01/-+.,#\t\x00\u00b2\u00e9", max_size=6),
-    st.sampled_from((
-        "1e5000", "0/0", "1/3", "-2/5", "0", "9" * 30, "1" * 5000, "..",
-        "w6.poset", "w6.measures", "chain2.measures", "pair.poset",
-        "x", "z", "tau", "lo", "hi", "p1", "1", "2", "cells", "map", "gap")),
-)
+TOKEN_CHARS = "aex01/-+.,#\t\x00\u00b2\u00e9"
+TOKENS = (
+    "1e5000", "0/0", "1/3", "-2/5", "0", "9" * 30, "1" * 5000, "..",
+    "w6.poset", "w6.measures", "chain2.measures", "pair.poset",
+    "x", "z", "tau", "lo", "hi", "p1", "1", "2", "cells", "map", "gap")
 
 
-@st.composite
-def mutated(draw, text):
+def token(rng):
+    if rng.random() < 0.5:
+        return rng.choice(TOKENS)
+    return "".join(rng.choice(TOKEN_CHARS) for _ in range(rng.randint(0, 6)))
+
+
+def mutate(rng, text):
     """``text`` with a few lines dropped, copied, inserted or retokenized."""
     lines = text.splitlines()
-    for _ in range(draw(st.integers(1, 4))):
-        i = draw(st.integers(0, len(lines)))
-        op = draw(st.sampled_from(("insert", "drop", "copy", "token")))
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randint(0, len(lines))
+        op = rng.choice(("insert", "drop", "copy", "token"))
         if op == "insert" or i == len(lines):
-            lines.insert(i, " ".join(draw(st.lists(TOKENS, max_size=4))))
+            lines.insert(i, " ".join(token(rng)
+                                     for _ in range(rng.randint(0, 4))))
         elif op == "drop":
             del lines[i]
         elif op == "copy":
             lines.insert(i, lines[i])
         else:
             parts = lines[i].split(" ")
-            j = draw(st.integers(0, len(parts)))
-            parts[j:j + 1] = [draw(TOKENS)]
+            j = rng.randint(0, len(parts))
+            parts[j:j + 1] = [token(rng)]
             lines[i] = " ".join(parts)
     return "\n".join(lines).encode()
 
@@ -283,12 +328,39 @@ def fuzz_dir(tmp_path_factory):
 def test_parsers_raise_only_input_errors(fuzz_dir, kind, data):
     base, parse = FUZZ[kind]
     path = fuzz_dir / f"fuzz.{kind}"
-    path.write_bytes(data.draw(st.one_of(st.binary(max_size=300),
-                                         mutated(base))))
+    path.write_bytes(data.draw(st.one_of(
+        st.binary(max_size=300),
+        st.randoms(use_true_random=False).map(lambda rng: mutate(rng, base)))))
     try:
         parse(path)
     except MonosyncError:  # the CLI's exit 2
         pass
+
+
+def parse_outcomes(directory, per_kind):
+    """One line per mutated file of a seeded corpus: its parse serialized,
+    or the error it raised, with ``directory`` written as ``DIR``."""
+    rng = random.Random(16)
+    out = []
+    for kind, (base, parse) in sorted(FUZZ.items()):
+        path = directory / f"corpus.{kind}"
+        for i in range(per_kind):
+            path.write_bytes(mutate(rng, base))
+            try:
+                got = parse(path)
+            except MonosyncError as e:
+                got = f"{type(e).__name__}: {e}"
+            out.append(f"{kind} {i} {got!r}".replace(str(directory), "DIR"))
+    return out
+
+
+def test_parse_outcomes_are_pinned(fuzz_dir):
+    """Any change to what a parser returns or raises on one of 1,400
+    mutated files changes the digest; ``parse_outcomes`` lists them, to
+    be diffed against the commit before the change."""
+    lines = parse_outcomes(fuzz_dir, 200)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    assert digest == "d25cb46e8fbaac5e"
 
 
 def check_roundtrip(path, text, parse, serialize):

@@ -118,6 +118,14 @@ def test_synchronize_showcase(w6_system, showcase_coupling, psi):
     assert synchronization_violations(w6_system, phis, psi) == ()
 
 
+def test_check_cell_tables_counts_cells(w6_system, showcase_coupling, psi):
+    L, tables = coupling_tables(w6_system, showcase_coupling, psi)
+    assert L == 15 and check_cell_tables(w6_system, L, tables)
+    # one more cell, naming no state
+    longer = {**tables, "1": tables["1"] + ("bogus",)}
+    assert check_cell_tables(w6_system, L, longer).witness == ("cells", "1")
+
+
 def pointer_synchronize_from_coupling(system, coupling, extension):
     """The pointer-and-fence construction that ``coupling_tables`` and
     the stable sort on rank replaced, kept verbatim as the oracle."""
