@@ -8,10 +8,13 @@ Lazy walks: birth-death chains on n = 8, 16, 32, 64 states, seeded by
 ``random_monotone_system_chain(rng, S, S, 4)`` mixed 1/2 with the uniform
 row.  Draw k of every kernel is ``cftp_sample(gc, SEED, stream=k)``.
 
-Per kernel it records the quartiles of the microseconds per draw and
-the cells per draw.  Each draw is timed on its own in each of PASSES
-passes over every kernel, and its fastest time is kept, so that a stall
-of a shared host in one pass does not move the medians.  Every draw is
+Per kernel it records the quartiles of the microseconds per draw, the
+cells per draw, the share of those cells whose column is the identity
+and the composed steps per draw (the cells that are not), both counted
+from the replay's own cell list and string table.  Each draw is timed
+on its own in each of PASSES passes over every kernel, and its fastest
+time is kept, so that a stall of a shared host in one pass does not
+move the medians.  Every draw is
 then drawn again with the keyed hash that ``cftp`` builds wrapped, so
 that the counters ``(t, attempt)`` it hashes are recorded, and
 cross-checked against an independent doubling replay on the string
@@ -106,10 +109,18 @@ def replay_map(gc, cells, T):
     return set(cur.values())
 
 
-def cross_check(gc, stream, draw):
-    """``(reason, k)``, where ``k`` is the number of cells the draw took
-    and ``reason`` is None when the draw and its cells agree with a
-    doubling replay."""
+def identity_cells(gc):
+    """The cells whose column of the string table maps every state to
+    itself."""
+    return {c for c in range(gc.L)
+            if all(row[c] == x for x, row in gc.update.items())}
+
+
+def cross_check(gc, stream, draw, lazy):
+    """``(reason, k, moves)``, where ``k`` is the number of cells the
+    draw took, ``moves`` the number of them not in ``lazy`` (the identity
+    cells), and ``reason`` is None when the draw and its cells agree with
+    a doubling replay."""
     counters = []
     keyed_hash = cftp.keyed_hash
 
@@ -135,10 +146,6 @@ def cross_check(gc, stream, draw):
     finally:
         cftp.keyed_hash = keyed_hash
     k = len(counters)
-    if again != draw:
-        return f"stream {stream}: {draw!r}, then {again!r}", k
-    if counters != [(t, 0) for t in range(1, k + 1)]:
-        return f"stream {stream}: counters hashed {counters[:8]}...", k
     sampler = CellSampler(gc.L, SEED, stream)
     cells = [None]
     T = 1
@@ -148,13 +155,21 @@ def cross_check(gc, stream, draw):
         if len(values) == 1:
             break
         T *= 2
-    if values != {draw}:
-        return f"stream {stream}: {draw!r}, replay gives {values}", k
-    if len(replay_map(gc, cells, k)) != 1:
-        return f"stream {stream}: no coalescence by time -{k}", k
-    if k > 1 and len(replay_map(gc, cells, k - 1)) == 1:
-        return f"stream {stream}: coalesced by time -{k - 1}", k
-    return None, k
+    cells += [sampler.cell_at(t) for t in range(len(cells), k + 1)]
+    moves = sum(cell not in lazy for cell in cells[1:k + 1])
+    if again != draw:
+        reason = f"{draw!r}, then {again!r}"
+    elif counters != [(t, 0) for t in range(1, k + 1)]:
+        reason = f"counters hashed {counters[:8]}..."
+    elif values != {draw}:
+        reason = f"{draw!r}, replay gives {values}"
+    elif len(replay_map(gc, cells, k)) != 1:
+        reason = f"no coalescence by time -{k}"
+    elif k > 1 and len(replay_map(gc, cells, k - 1)) == 1:
+        reason = f"coalesced by time -{k - 1}"
+    else:
+        return None, k, moves
+    return f"stream {stream}: {reason}", k, moves
 
 
 def fastest_draws(tables, draws):
@@ -174,15 +189,20 @@ def fastest_draws(tables, draws):
 
 def measure(name, gc, draws, seconds):
     out = [cftp_sample(gc, SEED, stream=k) for k in range(draws)]
-    checked = [cross_check(gc, k, draw) for k, draw in enumerate(out)]
-    cells = [k for _, k in checked]
-    failures = [reason for reason, _ in checked if reason is not None]
+    lazy = identity_cells(gc)
+    checked = [cross_check(gc, k, draw, lazy) for k, draw in enumerate(out)]
+    cells = [k for _, k, _ in checked]
+    moves = [m for _, _, m in checked]
+    failures = [reason for reason, _, _ in checked if reason is not None]
     us = quartiles([s * 1e6 for s in seconds])
     row = {"kernel": name, "states": len(gc.state_poset), "L": gc.L,
            "draws": draws, "passes": PASSES, "median_us": us["median"],
            "q1_us": us["q1"], "q3_us": us["q3"],
            "cells_per_draw": statistics.fmean(cells),
-           "max_cells": max(cells), "failures": failures}
+           "max_cells": max(cells),
+           "identity_share": 1 - sum(moves) / sum(cells),
+           "composed_per_draw": statistics.fmean(moves),
+           "failures": failures}
     print(json.dumps(row), flush=True)
     return row
 
@@ -208,8 +228,10 @@ def main() -> int:
         "what": "perfect draws cftp_sample(gc, SEED, stream=k) on seeded "
                 "lazy walks and class-W mixtures: microseconds per draw "
                 "(quartiles over the draws of each draw's fastest time in "
-                f"{PASSES} passes) and cells drawn per draw; every draw "
-                "cross-checked against a doubling replay",
+                f"{PASSES} passes), cells drawn per draw, the share of "
+                "them whose column is the identity and the other cells "
+                "(composed steps) per draw; every draw cross-checked "
+                "against a doubling replay",
         "seed": SEED,
         "host": {"python": platform.python_version(),
                  "machine": platform.machine(), "cpus": os.cpu_count()},

@@ -86,10 +86,11 @@ class GrandCoupling:
     Row x lists the next state per cell; cell counts reproduce the kernel
     row at x exactly, and rows respect the order cell by cell.  The
     table is read-only once built and turned from names into indices
-    once (``_columns``); the sampler's steps (one ``itemgetter`` per
-    cell), its identity map and acceptance bound, the extremal indices
-    and the ergodicity and coalescence verdicts are derived once and
-    cached.
+    once (``_columns``); the sampler's one move table (``_steps``: an
+    ``itemgetter`` per cell, ``None`` for a cell whose column is the
+    identity), its identity map and acceptance bound, the extremal
+    indices and the ergodicity and coalescence verdicts are derived once
+    and cached.
     """
 
     L: int
@@ -118,11 +119,14 @@ class GrandCoupling:
         return tuple(tuple(map(pos, col)) for col in zip(*rows))
 
     @cached_property
-    def _steps(self) -> tuple[itemgetter, ...]:
-        """One ``itemgetter`` per cell: ``_steps[c](comp)[i]`` is
-        ``comp[_columns[c][i]]`` (a scalar, not a tuple, when there is one
-        state)."""
-        return tuple(itemgetter(*col) for col in self._columns)
+    def _steps(self) -> tuple[itemgetter | None, ...]:
+        """The move of each cell: ``None`` where ``_columns[c]`` is the
+        identity, which changes no map, else an ``itemgetter`` with
+        ``_steps[c](comp)[i] == comp[_columns[c][i]]``.  On one state
+        every column is the identity, so no getter returns a scalar."""
+        identity = self._identity
+        return tuple(None if col == identity else itemgetter(*col)
+                     for col in self._columns)
 
     @cached_property
     def _identity(self) -> tuple[int, ...]:
@@ -294,7 +298,7 @@ def _require_ergodic_table(gc: GrandCoupling) -> None:
     ergodic, then :class:`NotCoalescing` unless coupling from the past
     can stop (Propp and Wilson, 1996); both are decided once per table."""
     verdict = gc._ergodic
-    if not verdict:
+    if not verdict.ok:  # not bool(verdict): this runs once per draw
         if verdict.witness == "reducible":
             raise NotErgodic("update table is reducible")
         kind, *rest = verdict.witness
@@ -314,39 +318,45 @@ def cftp_sample(gc: GrandCoupling, seed: int, stream: int = 0,
     The cells are those of ``CellSampler(gc.L, seed, stream)``: the
     attempt-0 word of time ``t`` is hashed here, from the one keyed hash
     of the draw, and a rejected word (rarer than ``L / 2**64``) is handed
-    to ``cell_at``, the one definition of rejection.  Full-state
-    tracking decides: the draw is returned as soon as ``comp`` is
-    constant, which it then stays for every earlier start (Propp and
-    Wilson, 1996), so it is the value that epochs of doubled length
-    would return at the first power of two at or beyond that time.  At
-    each such epoch boundary ``T`` the extremal shortcut must agree (the
-    monotone update table guarantees it), and ``max_epoch`` bounds the
-    last epoch tried.  A table that is not ergodic or never coalesces is
-    refused first, by its cached verdict.
+    to ``cell_at``, the one definition of rejection.  An identity cell is
+    hashed, so the stream does not move, and then skipped: it leaves
+    ``comp`` as it was.  Full-state tracking decides: the draw is
+    returned as soon as ``comp`` is constant, tested after every move
+    (two entries first, then all ``n``), which it then stays for every
+    earlier start (Propp and Wilson, 1996), so it is the value that
+    epochs of doubled length would return at the first power of two at
+    or beyond that time.  At each such epoch boundary ``T`` the extremal
+    shortcut must agree (the monotone update table guarantees it), and
+    ``max_epoch`` bounds the last epoch tried.  A table that is not
+    ergodic or never coalesces is refused first, by its cached verdict.
     """
     _require_ergodic_table(gc)
     L = gc.L
     bound = gc._bound
-    keyed = keyed_hash(seed, stream)
+    copy = keyed_hash(seed, stream).copy
     pack = COUNTER.pack
+    from_bytes = int.from_bytes
     steps = gc._steps
     comp = gc._identity  # composed map over times -t..-1
     n = len(comp)
     t = 0
     T = 1
-    while comp.count(comp[0]) < n:
-        if t == T:
-            if len({comp[i] for i in gc._extremals}) == 1:
-                raise ContractViolation("trackers disagree", T)
-            if T >= max_epoch:
-                raise BudgetExceeded(f"no coalescence by epoch {T}")
-            T *= 2
-        t += 1
-        h = keyed.copy()
-        h.update(pack(t % 2**64, 0))
-        word = int.from_bytes(h.digest(), "big")
-        comp = steps[word % L if word < bound
-                     else CellSampler(L, seed, stream).cell_at(t)](comp)
+    while n > 1:  # the identity on one state is already constant
+        for t in range(t + 1, T + 1):
+            h = copy()
+            h.update(pack(t, 0))  # t, not t mod 2**64: no draw gets there
+            word = from_bytes(h.digest(), "big")
+            step = steps[word % L if word < bound
+                         else CellSampler(L, seed, stream).cell_at(t)]
+            if step is not None:
+                comp = step(comp)
+                if comp[0] == comp[-1] and comp.count(comp[0]) == n:
+                    return gc.state_poset.elements[comp[0]]
+        if len({comp[i] for i in gc._extremals}) == 1:
+            raise ContractViolation("trackers disagree", T)
+        if T >= max_epoch:
+            raise BudgetExceeded(f"no coalescence by epoch {T}")
+        T *= 2
     return gc.state_poset.elements[comp[0]]
 
 

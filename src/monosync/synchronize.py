@@ -166,9 +166,15 @@ def coupling_tables(system: MeasureSystem, coupling: Coupling,
     by the extension ranks of their tuples, take weight times L
     consecutive cells each, so a monotone coupling gives a table ordered
     on every cell, whatever the extension.  The rows have the system's
-    counts because the marginals, checked here, match it."""
+    counts because the marginals, checked here, match it; an atom with
+    more or fewer states than indices is refused before them."""
     if coupling.index_order != system.index_poset.elements:
         raise DomainMismatch("coupling indices do not match the system")
+    width = len(coupling.index_order)
+    for tup in coupling.atoms:
+        if len(tup) != width:
+            raise DomainMismatch(
+                f"atom {tup!r} has {len(tup)} states, expected {width}")
     L = bounded_grid(common_grid(system, coupling))
     for alpha in coupling.index_order:
         want = system.measure_of(alpha)

@@ -316,12 +316,14 @@ def test_cftp_determinism(chain2_kernel):
 
 
 def test_one_state_kernel_draws_its_only_state():
-    # the one-state table's step getter would return a scalar, not a
-    # tuple; the draw needs no step at all
+    # the one-state table's only column is the identity, so it has no
+    # step getter (one would return a scalar, not a tuple); the draw needs
+    # no step at all
     only = chain(("only",))
     kern = kernel(only, {"only": rational_measure(("only",), {"only": 1})})
     gc = build_grand_coupling(kern)
     assert isinstance(gc, GrandCoupling) and gc.L == 1
+    assert gc._steps == (None,)
     assert sample_many(gc, seed=4, n=3) == ("only",) * 3
     assert cftp_sample(gc, seed=4, max_epoch=0) == "only"
     assert doubling_cftp_sample(gc, seed=4) == "only"
@@ -617,7 +619,8 @@ def random_monotone_table(rng):
 def random_table(rng):
     """An arbitrary table on a chain or a random poset (1-5 states, 1-4
     cells): each column a random map, or a random permutation, which
-    never coalesces; most such tables are not monotone."""
+    never coalesces; most such tables are not monotone.  In half of them
+    some columns, up to all, are then made the identity."""
     n = rng.randrange(1, 6)
     S = (chain(element_labels(n)) if rng.random() < 0.5
          else random_poset(rng, n))
@@ -627,6 +630,9 @@ def random_table(rng):
         cols = [rng.sample(els, n) for _ in range(L)]
     else:
         cols = [[rng.choice(els) for _ in els] for _ in range(L)]
+    if rng.random() < 0.5:
+        for c in rng.sample(range(L), rng.randrange(1, L + 1)):
+            cols[c] = els
     return GrandCoupling(L, S, {x: tuple(col[i] for col in cols)
                                 for i, x in enumerate(els)})
 
@@ -655,6 +661,87 @@ def test_step_back_sampler_matches_doubling_oracle(seed):
         kwargs = dict(stream=stream, max_epoch=max_epoch)
         got = outcome(cftp_sample, gc, seed, **kwargs)
         assert got == outcome(doubling_cftp_sample, gc, seed, **kwargs)
+    # a cell has a step exactly when its column moves some state
+    assert [step is None for step in gc._steps] == [
+        col == gc._identity for col in gc._columns]
+    assert [step(gc._identity) for step in gc._steps if step] == [
+        col for col in gc._columns if col != gc._identity]
+
+
+def identity_heavy(L, cols):
+    """A table on the chain ``a < b < c`` with ``L`` cells: the first
+    ones have the given columns (state names by state), the rest are the
+    identity."""
+    els = ("a", "b", "c")
+    cols = list(cols) + [els] * (L - len(cols))
+    return GrandCoupling(L, chain(els), {
+        x: tuple(col[i] for col in cols) for i, x in enumerate(els)})
+
+
+def cells_of(gc, seed, stream, times):
+    return [CellSampler(gc.L, seed, stream).cell_at(t) for t in times]
+
+
+def coalescence_time(gc, seed, stream):
+    """The first ``t`` at which the map from time ``-t`` is constant."""
+    cols = doubling_columns(gc)
+    comp = gc._identity
+    t = 0
+    while len(set(comp)) > 1:
+        t += 1
+        comp = tuple(map(comp.__getitem__, cols[cells_of(
+            gc, seed, stream, [t])[0]]))
+    return t
+
+
+def test_identity_cells_at_epoch_boundaries():
+    # cell 0 moves every state down one, cell 1 up one, and the other six
+    # are the identity: most streams draw an identity cell at some epoch
+    # boundary T before they coalesce, and some at every boundary
+    gc = identity_heavy(8, [("a", "a", "b"), ("b", "c", "c")])
+    assert [step is None for step in gc._steps] == [False] * 2 + [True] * 6
+    at_some = at_every = 0
+    for stream in range(200):
+        got = outcome(cftp_sample, gc, 5, stream=stream)
+        assert got == outcome(doubling_cftp_sample, gc, 5, stream=stream)
+        tau = coalescence_time(gc, 5, stream)
+        boundaries = [2**e for e in range((tau - 1).bit_length())]
+        lazy = [cell >= 2 for cell in cells_of(gc, 5, stream, boundaries)]
+        at_some += any(lazy)
+        at_every += tau > 1 and all(lazy)
+    assert at_some >= 150 and at_every >= 50
+
+
+@pytest.mark.parametrize("max_epoch, last", [(0, 1), (1, 1), (2, 2), (3, 4)])
+def test_epoch_budget_on_an_identity_heavy_table(max_epoch, last):
+    # constant columns make the table coalesce in one move, but on the
+    # streams kept here cells 1 to the last boundary are the identity
+    gc = identity_heavy(64, [("a",) * 3, ("b",) * 3, ("c",) * 3])
+    kept = [k for k in range(100)
+            if min(cells_of(gc, 2, k, range(1, last + 1))) >= 3]
+    assert len(kept) >= 50
+    for stream in kept:
+        kwargs = dict(stream=stream, max_epoch=max_epoch)
+        got = outcome(cftp_sample, gc, 2, **kwargs)
+        assert got == outcome(doubling_cftp_sample, gc, 2, **kwargs)
+        assert got == (BudgetExceeded, (f"no coalescence by epoch {last}",),
+                       None)
+
+
+def test_trackers_disagree_after_identity_cells():
+    # the table of test_trackers_disagree_on_a_non_monotone_table with
+    # two identity cells: a draw whose extremals meet while b stays apart
+    # fails at the next boundary, as the oracle does, across the
+    # boundaries 1, 2 and 4 and whatever identity cells fall between
+    gc = identity_heavy(4, [("b", "a", "b"), ("b", "c", "c")])
+    witnesses = set()
+    for stream in range(100):
+        got = outcome(cftp_sample, gc, 0, stream=stream)
+        assert got == outcome(doubling_cftp_sample, gc, 0, stream=stream)
+        if got[0] is ContractViolation:
+            assert got[1] == ("trackers disagree",)
+            witnesses.add(got[2])
+    assert {1, 2, 4} <= witnesses
 
 
 def merged_by_some_sequence(gc, states):

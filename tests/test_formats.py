@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from monosync.coupling import Coupling, InfeasibilityCertificate, realize
 from monosync import formats
+from monosync.cli import main
 from monosync.errors import MonosyncError, ParseError
 from monosync.formats import (
     parse_certificate,
@@ -32,6 +33,7 @@ from monosync.generate import (
     random_bounded_poset,
     random_class_w,
     random_monotone_system,
+    random_poset,
 )
 from monosync.poset import covers, default_root, root_tree
 from monosync.synchronize import CellPermutation, synchronize_from_coupling
@@ -361,6 +363,39 @@ def test_parse_outcomes_are_pinned(fuzz_dir):
     lines = parse_outcomes(fuzz_dir, 200)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
     assert digest == "d25cb46e8fbaac5e"
+
+
+def test_reversed_order_line_is_a_cycle_at_that_line(tmp_path, capsys):
+    """The mutation corpus above never closes a cycle.  Here a random
+    poset is written out and one line ``cover b a`` or ``leq b a`` with
+    ``a < b`` appended: exactly the states from ``a`` up to ``b`` then
+    form a cycle, and the parser names its first two states in element
+    order at the appended line."""
+    rng = random.Random(17)
+    path = tmp_path / "cycle.poset"
+    cases = 0
+    while cases < 150:
+        poset = random_poset(rng, rng.randrange(2, 8))
+        strict = sorted((a, b) for a, b in poset.relation if a != b)
+        if not strict:
+            continue
+        a, b = rng.choice(strict)
+        kind = rng.choice(["cover", "leq"])
+        text = serialize_poset(poset) + f"{kind} {b} {a}\n"
+        path.write_text(text)
+        lineno = text.count("\n")
+        x, y = [z for z in poset.elements
+                if poset.leq(a, z) and poset.leq(z, b)][:2]
+        message = f"{x!r} and {y!r} are in a cycle"
+        with pytest.raises(ParseError) as err:
+            parse_poset(path)
+        assert err.value.lineno == lineno
+        assert str(err.value) == f"{path}:{lineno}: {message}"
+        cases += 1
+    assert main(["classify", "--poset", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}:{lineno}: {message}\n"
 
 
 def check_roundtrip(path, text, parse, serialize):

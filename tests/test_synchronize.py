@@ -218,6 +218,20 @@ def test_synchronize_rejects_marginal_mismatch(w6_system, p1, psi):
         synchronize_from_coupling(w6_system, diagonal, psi)
 
 
+@pytest.mark.parametrize("length", [1, 3])
+def test_coupling_tables_refuse_atoms_of_the_wrong_length(w6_system, p1, psi,
+                                                          length):
+    # too short once failed inside the marginals; too long was cut by zip
+    atoms = {(s,) * length: p1.of(s) for s in p1.support()}
+    coupling = Coupling(("1", "2"), atoms)
+    first = next(iter(atoms))
+    message = f"atom {first!r} has {length} states, expected 2"
+    for build in (coupling_tables, synchronize_from_coupling):
+        with pytest.raises(DomainMismatch) as err:
+            build(w6_system, coupling, psi)
+        assert str(err.value) == message
+
+
 def test_verify_needs_matching_family(w6_system, psi):
     phis = identity_synchronization(w6_system)
     with pytest.raises(DomainMismatch):
