@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import ContractViolation, DomainMismatch, SizeLimit
@@ -102,13 +103,23 @@ class Verdict:
 
 
 def _numerators(measures: Sequence[RationalMeasure],
-                elements: Sequence[str]) -> list[list[int]]:
+                elements: Sequence[str]) -> tuple[int, list[list[int]]]:
     """The masses of every measure on ``elements``, in that order, as
-    integer numerators over one common denominator, the lcm of them all:
-    sums of them compare as the masses do."""
-    _, ints = integral([p.of(x) for p in measures for x in elements])
-    n = len(elements)
-    return [ints[k:k + n] for k in range(0, len(ints), n)]
+    integer numerators over one common denominator, the lcm of them all,
+    which is returned first: sums of them compare as the masses do.  Read
+    off each measure's integer view, by name where its domain order is
+    not ``elements``."""
+    views = [p.integral for p in measures]
+    scale = lcm(*[s for s, _ in views])
+    elements = tuple(elements)
+    rows = []
+    for p, (s, numerators) in zip(measures, views):
+        if p.domain() != elements:
+            by_name = dict(zip(p.mass, numerators))
+            numerators = [by_name[x] for x in elements]
+        k = scale // s
+        rows.append([n * k for n in numerators])
+    return scale, rows
 
 
 def _augment(supply: Sequence[int], demand: Sequence[int],
@@ -206,7 +217,7 @@ def dominance_violation(p1: RationalMeasure, p2: RationalMeasure,
     (Strassen 1965); ``U`` is the min cut that :func:`is_stoch_monotone`
     describes.
     """
-    n1, n2 = _numerators((p1, p2), poset.elements)
+    _, (n1, n2) = _numerators((p1, p2), poset.elements)
     reached = _augment(n1, n2, poset.arcs)[1]
     return _up_closure(poset, reached) if reached else None
 
@@ -242,9 +253,8 @@ def strassen_coupling(p1: RationalMeasure, p2: RationalMeasure,
     flow value reaches the whole supply exactly when dominance holds.
     """
     els = poset.elements
-    n = len(els)
-    scale, ints = integral([p.of(x) for p in (p1, p2) for x in els])
-    flow = integer_transport(ints[:n], ints[n:], poset.arcs)
+    scale, (n1, n2) = _numerators((p1, p2), els)
+    flow = integer_transport(n1, n2, poset.arcs)
     if flow is None:
         return None
     return Coupling(PAIR_INDICES, {
@@ -270,7 +280,7 @@ def is_stoch_monotone(system: MeasureSystem) -> Verdict:
     S = system.state_poset
     indices = system.index_poset.elements
     numer = dict(zip(indices, _numerators(
-        [system.measure_of(a) for a in indices], S.elements)))
+        [system.measure_of(a) for a in indices], S.elements)[1]))
     reached: dict[tuple[str, str], list[int]] = {}
 
     def short(pair: tuple[str, str]) -> list[int]:

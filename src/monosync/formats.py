@@ -15,12 +15,13 @@ path, resolved relative to the referencing file.
 
 from __future__ import annotations
 
+import os
 import re
-import stat
 import sys
 from bisect import bisect_left
 from fractions import Fraction
 from pathlib import Path
+from stat import S_ISREG
 from typing import Mapping, Sequence
 
 from .cftp import Kernel, kernel
@@ -48,15 +49,42 @@ _PHI = {"cells": (1, "1"), "map": (2, "*")}
 _CERTIFICATE = {"dual": (3, "*"), "gap": (1, "1")}
 
 
+# a FIFO put in a file's place after its stat must not block the open
+_O_READ = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
+
+
+def _read(name: str) -> bytes:
+    """The bytes of the regular file ``name``, from one ``stat`` and, at
+    the size it gives, one ``read``; anything else is refused before it
+    is opened, since a FIFO blocks the read and a device need never end."""
+    st = os.stat(name)
+    if not S_ISREG(st.st_mode):
+        raise ParseError(name, 0, "not a regular file")
+    size = st.st_size
+    fd = os.open(name, _O_READ)
+    try:
+        chunks = [os.read(fd, size + 1)]
+        # the file changed after its stat, or its size is not stored (a
+        # file under /proc): read on to the end
+        if len(chunks[0]) != size:
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
+def _path(path: str | Path) -> Path:
+    """``path`` as a ``Path``, not wrapped again when it is one."""
+    return path if isinstance(path, Path) else Path(path)
+
+
 def _directives(path: Path, table: Mapping[str, tuple[int, str]]):
     """Each directive of ``path`` as ``(line, directive, args)``, in order,
     checked against ``table`` at its line, or after the last for one that
     is missing; lazily, so a caller's error at an earlier line comes first."""
     try:
-        if not stat.S_ISREG(path.stat().st_mode):
-            # a FIFO blocks the read and a device need never end
-            raise ParseError(str(path), 0, "not a regular file")
-        data = path.read_bytes()
+        data = _read(str(path))
     except (OSError, ValueError) as e:  # ValueError: a NUL in the path
         raise ParseError(str(path), 0, f"cannot read file: {e}") from e
     try:
@@ -133,7 +161,7 @@ def parse_poset(path: str | Path) -> Poset:
     """The poset of ``path``; :func:`validate_poset`'s errors are refused at
     the second ``element`` line of a name or the first order line at which
     the pairs so far fail."""
-    path = Path(path)
+    path = _path(path)
     elements: list[str] = []
     element_lines: list[int] = []
     pairs: list[list[str]] = []
@@ -179,7 +207,7 @@ def parse_measures(path: str | Path, poset: Poset,
     A mass for an unknown element is refused at its line, and masses
     that are negative or do not sum to one at their measure's header.
     """
-    path = Path(path)
+    path = _path(path)
     known = set(poset.elements)
     raw: dict[str, dict[str, Fraction]] = {}
     headers: dict[str, int] = {}
@@ -276,7 +304,7 @@ def _parse_bindings(path: Path, table: Mapping[str, tuple[int, str]]):
 
 
 def parse_system(path: str | Path) -> MeasureSystem:
-    index_poset, state_poset, bound = _parse_bindings(Path(path), _SYSTEM)
+    index_poset, state_poset, bound = _parse_bindings(_path(path), _SYSTEM)
     return measure_system(index_poset, state_poset, bound)
 
 
@@ -290,7 +318,7 @@ def serialize_system(index_ref: str, states_ref: str,
 def parse_kernel(path: str | Path) -> Kernel:
     """Kernel files are system files without an index line: the rows are
     indexed by the state poset itself."""
-    _, state_poset, bound = _parse_bindings(Path(path), _KERNEL)
+    _, state_poset, bound = _parse_bindings(_path(path), _KERNEL)
     return kernel(state_poset, bound)
 
 
@@ -304,7 +332,7 @@ def serialize_kernel(states_ref: str, measure_refs: Sequence[str],
 
 def parse_coupling(path: str | Path,
                    index_order: Sequence[str]) -> Coupling:
-    path = Path(path)
+    path = _path(path)
     atoms: dict[tuple[str, ...], Fraction] = {}
     for lineno, _, (tup_str, frac) in _directives(path, _COUPLING):
         tup = tuple(tup_str.split(","))
@@ -331,7 +359,7 @@ def serialize_coupling(coupling: Coupling) -> str:
 
 
 def parse_phi(path: str | Path) -> CellPermutation:
-    path = Path(path)
+    path = _path(path)
     images: dict[int, int] = {}
     for lineno, directive, args in _directives(path, _PHI):
         if directive == "cells":
@@ -359,7 +387,7 @@ def serialize_phi(phi: CellPermutation) -> str:
 
 
 def parse_certificate(path: str | Path) -> InfeasibilityCertificate:
-    path = Path(path)
+    path = _path(path)
     dual: dict[tuple[str, str], Fraction] = {}
     for lineno, directive, args in _directives(path, _CERTIFICATE):
         if directive == "dual":

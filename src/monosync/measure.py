@@ -1,7 +1,10 @@
 """Exact rational probability measures.
 
 A measure assigns a nonnegative ``Fraction`` to every element and sums to
-exactly one.  All arithmetic is exact; nothing is ever rounded.  The
+exactly one.  All arithmetic is exact; nothing is ever rounded.  Each
+measure also keeps its masses as integers over one common denominator
+(:attr:`RationalMeasure.integral`), which the dominance flows and the
+grid cells read; the sum is checked on those integers.  The
 inverse probability transform of a measure along a linear extension is
 represented on a grid of equal cells by
 :func:`monosync.synchronize.cell_states`.
@@ -11,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Mapping
 
 from .errors import DomainMismatch, InvalidMeasure
@@ -26,13 +31,24 @@ class RationalMeasure:
     mass: Mapping[str, Fraction]
 
     def __post_init__(self):
-        total = F0
-        for x, m in self.mass.items():
-            if m < 0:
-                raise InvalidMeasure(f"negative mass {m} at {x!r}")
-            total += m
-        if total != 1:
-            raise InvalidMeasure(f"masses sum to {shown(total)}, not 1")
+        scale, numerators = self.integral
+        if min(numerators, default=0) < 0:
+            x, m = next((x, m) for x, m in self.mass.items() if m < 0)
+            raise InvalidMeasure(f"negative mass {m} at {x!r}")
+        total = sum(numerators)
+        if total != scale:
+            raise InvalidMeasure(
+                f"masses sum to {shown(Fraction(total, scale))}, not 1")
+
+    @cached_property
+    def integral(self) -> tuple[int, tuple[int, ...]]:
+        """``(scale, numerators)``: the lcm of the masses' denominators,
+        and each mass times it, in domain order.  Built once, by the sum
+        check, and read as is: sums of numerators compare as the masses
+        do, with no ``Fraction`` arithmetic."""
+        ratios = [m.as_integer_ratio() for m in self.mass.values()]
+        scale = lcm(*[q for _, q in ratios])
+        return scale, tuple([p * (scale // q) for p, q in ratios])
 
     def domain(self) -> tuple[str, ...]:
         return tuple(self.mass)
@@ -61,11 +77,14 @@ def shown(value: Fraction) -> str:
 
 def rational_measure(elements, masses: Mapping[str, Fraction | int | str],
                      ) -> RationalMeasure:
-    """Build a measure on ``elements``; names missing from ``masses`` get zero."""
+    """Build a measure on ``elements``; names missing from ``masses`` get
+    zero.  A ``Fraction`` is kept as given; other values are converted."""
     elements = tuple(elements)
     known = set(elements)
     for x in masses:
         if x not in known:
             raise DomainMismatch(f"mass given for unknown element {x!r}")
-    return RationalMeasure(
-        {x: Fraction(masses.get(x, 0)) for x in elements})
+    get = masses.get
+    return RationalMeasure({
+        x: m if isinstance(m := get(x, F0), Fraction) else Fraction(m)
+        for x in elements})

@@ -131,43 +131,53 @@ def validate_poset(elements: Sequence[str],
     """Close ``pairs`` reflexively and transitively and check antisymmetry.
 
     ``pairs`` may mix cover pairs and arbitrary order pairs; each ``(a, b)``
-    asserts ``a <= b``.
+    asserts ``a <= b``.  A repeated element is refused first, then the
+    first unknown name in pair order, then the cycle through the first
+    ``(i, j)``, ``i < j``, in index order.
+
+    The order is closed on one integer bitmask per element: bit ``j`` of
+    ``up[i]`` is set iff ``elements[i] <= elements[j]``.  Row ``i`` grows
+    by a search over its set bits that takes each earlier row whole, as
+    that row is closed already; ``relation`` is read off the set bits.
     """
     elements = tuple(elements)
-    seen: set[str] = set()
-    for x in elements:
-        if x in seen:
-            raise DuplicateElement(f"element {x!r} declared twice")
-        seen.add(x)
     idx = {x: i for i, x in enumerate(elements)}
+    if len(idx) != len(elements):
+        seen: set[str] = set()
+        for x in elements:
+            if x in seen:
+                raise DuplicateElement(f"element {x!r} declared twice")
+            seen.add(x)
     n = len(elements)
-    leq = [[False] * n for _ in range(n)]
-    for i in range(n):
-        leq[i][i] = True
+    up = [1 << i for i in range(n)]
     for a, b in pairs:
         if a not in idx:
             raise UnknownElement(f"unknown element {a!r}")
         if b not in idx:
             raise UnknownElement(f"unknown element {b!r}")
-        leq[idx[a]][idx[b]] = True
-    for k in range(n):
-        lk = leq[k]
-        for i in range(n):
-            if leq[i][k]:
-                li = leq[i]
-                for j in range(n):
-                    if lk[j]:
-                        li[j] = True
+        up[idx[a]] |= 1 << idx[b]
     for i in range(n):
-        for j in range(i + 1, n):
-            if leq[i][j] and leq[j][i]:
-                raise CycleError(
-                    f"{elements[i]!r} and {elements[j]!r} are in a cycle")
-    rel = frozenset(
-        (elements[i], elements[j])
-        for i in range(n) for j in range(n) if leq[i][j]
-    )
-    return Poset(elements, rel)
+        reach = up[i]
+        todo = reach ^ (1 << i)
+        while todo:
+            low = todo & -todo
+            new = up[low.bit_length() - 1] & ~reach
+            reach |= new
+            todo = (todo ^ low) | new
+        up[i] = reach
+    # distinct elements reach the same set exactly when they share a cycle
+    if len(set(up)) < n:
+        i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                    if (up[i] >> j) & (up[j] >> i) & 1)
+        raise CycleError(
+            f"{elements[i]!r} and {elements[j]!r} are in a cycle")
+    relation = []
+    for a, row in zip(elements, up):
+        while row:
+            low = row & -row
+            relation.append((a, elements[low.bit_length() - 1]))
+            row ^= low
+    return Poset(elements, frozenset(relation))
 
 
 def chain(elements: Sequence[str]) -> Poset:

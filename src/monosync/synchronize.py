@@ -31,7 +31,6 @@ from .errors import (
     InfeasibleInput,
     SizeLimit,
 )
-from .linprog import integral
 from .measure import RationalMeasure
 from .poset import LinearExtension, Poset, RootedTree, covers
 
@@ -65,9 +64,17 @@ class CellPermutation:
 
 def common_grid(*objects) -> int:
     """Least common multiple of every mass denominator found in the
-    arguments (measures, systems, couplings)."""
-    denoms = [d for obj in objects for d in obj.denominators()]
-    return lcm(*denoms) if denoms else 1
+    arguments (measures, systems, couplings); a measure's is the scale
+    of its integer view."""
+    denoms: list[int] = []
+    for obj in objects:
+        if isinstance(obj, MeasureSystem):
+            denoms += [m.integral[0] for m in obj.measures.values()]
+        elif isinstance(obj, RationalMeasure):
+            denoms.append(obj.integral[0])
+        else:
+            denoms += obj.denominators()
+    return lcm(*denoms)
 
 
 def bounded_grid(L: int) -> int:
@@ -82,7 +89,7 @@ def bounded_grid(L: int) -> int:
 def cell_counts(measure: RationalMeasure, L: int) -> dict[str, int]:
     """The number of grid cells of each state, mass times ``L``, in
     integers; :class:`GridMismatch` when a mass is not a multiple of 1/L."""
-    scale, ints = integral(list(measure.mass.values()))
+    scale, ints = measure.integral
     if L % scale:
         x = next(x for x, m in measure.mass.items() if L % m.denominator)
         raise GridMismatch(

@@ -1,6 +1,8 @@
 """Text formats: round trips against the shipped fixtures and error paths."""
 
+import gc
 import hashlib
+import os
 import random
 import re
 import shutil
@@ -227,6 +229,43 @@ def test_parse_errors(tmp_path, w6):
                        ) as err:
         parse_system(s)
     assert err.value.lineno == 3
+
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="no /proc/self/fd to count open descriptors")
+def test_reader_leaks_no_file_descriptor(tmp_path):
+    """Every error path of the one reader, 200 times over, leaves the
+    count of open file descriptors where it was: a missing file, a
+    directory, a FIFO (refused, not blocked on), a NUL in the path, bytes
+    that are not UTF-8, and a reader abandoned after the caller's error
+    at an early line."""
+    fifo = tmp_path / "fifo.poset"
+    os.mkfifo(fifo)
+    latin = tmp_path / "latin.poset"
+    latin.write_bytes(b"element a\nelement \xe9\n")
+    early = tmp_path / "early.poset"
+    early.write_text("element a,b\n" + "element c\n" * 100)
+    cases = [(tmp_path / "missing.poset", "cannot read file"),
+             (tmp_path, "not a regular file"),
+             (fifo, "not a regular file"),
+             (str(tmp_path / "nul\0.poset"), "embedded null byte"),
+             (latin, "not UTF-8: byte 0xe9"),
+             (early, "contains ','")]
+
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_fds()
+    for _ in range(200):
+        for path, message in cases:
+            with pytest.raises(ParseError, match=message):
+                parse_poset(path)
+        reader = formats._directives(early, formats._POSET)
+        next(reader)
+        del reader
+    gc.collect()
+    assert open_fds() <= before
 
 
 def test_readme_lists_every_directive():

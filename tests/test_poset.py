@@ -1,6 +1,7 @@
 """Order closure, cover graphs, classification, rooting, up-sets."""
 
 import itertools
+from collections import Counter
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from monosync.errors import (
 from monosync.generate import diamond, random_class_w, random_class_z, random_poset
 from monosync.poset import (
     DEFAULT_UPSET_CAP,
+    Poset,
     PosetClass,
     antichain,
     branching_elements,
@@ -59,6 +61,82 @@ def test_validate_rejects_cycles_and_bad_labels():
         validate_poset(("a", "a"), [])
     with pytest.raises(UnknownElement):
         validate_poset(("a",), [("a", "q")])
+
+
+
+def reference_validate_poset(elements, pairs):
+    """The closure on an n x n boolean matrix (Warshall 1962), as it was
+    before the bitsets: the oracle for :func:`validate_poset`."""
+    elements = tuple(elements)
+    seen = set()
+    for x in elements:
+        if x in seen:
+            raise DuplicateElement(f"element {x!r} declared twice")
+        seen.add(x)
+    idx = {x: i for i, x in enumerate(elements)}
+    n = len(elements)
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in pairs:
+        if a not in idx:
+            raise UnknownElement(f"unknown element {a!r}")
+        if b not in idx:
+            raise UnknownElement(f"unknown element {b!r}")
+        leq[idx[a]][idx[b]] = True
+    for k in range(n):
+        for i in range(n):
+            if leq[i][k]:
+                for j in range(n):
+                    if leq[k][j]:
+                        leq[i][j] = True
+    for i in range(n):
+        for j in range(i + 1, n):
+            if leq[i][j] and leq[j][i]:
+                raise CycleError(
+                    f"{elements[i]!r} and {elements[j]!r} are in a cycle")
+    return Poset(elements, frozenset(
+        (elements[i], elements[j])
+        for i in range(n) for j in range(n) if leq[i][j]))
+
+
+def poset_outcome(elements, pairs, validate):
+    try:
+        return validate(elements, pairs)
+    except (CycleError, DuplicateElement, UnknownElement) as e:
+        return type(e), str(e)
+
+
+def test_bitset_closure_matches_boolean_matrix():
+    """On random element and pair lists, with repeated elements, unknown
+    names and cycles, ``validate_poset`` raises what the boolean-matrix
+    closure raises, with the same message, or returns the same elements
+    and ``relation``."""
+    rng = random.Random(18)
+    seen = Counter()
+    for _ in range(3000):
+        n = rng.randrange(0, 12)
+        elements = rng.sample([f"e{i}" for i in range(16)], n)
+        if elements and rng.random() < 0.05:
+            elements.insert(rng.randrange(n + 1), rng.choice(elements))
+        # pairs up a random order, some reversed to close cycles, some
+        # naming an unknown element
+        rank = {x: rng.random() for x in elements}
+        pool = elements + ["stranger"] * (rng.random() < 0.1)
+        pairs = []
+        for _ in range(rng.randrange(0, 2 * n + 2) if pool else 0):
+            a, b = sorted((rng.choice(pool), rng.choice(pool)),
+                          key=lambda x: rank.get(x, 1))
+            pairs.append((b, a) if rng.random() < 0.05 else (a, b))
+        want = poset_outcome(elements, pairs, reference_validate_poset)
+        got = poset_outcome(elements, pairs, validate_poset)
+        assert got == want
+        if isinstance(want, Poset):
+            assert got.elements == want.elements
+            assert got.relation == want.relation
+            seen["poset"] += 1
+        else:
+            seen[want[0].__name__] += 1
+    assert min(seen.values()) >= 30, seen
+    assert len(seen) == 4, seen
 
 
 def test_w6_shape(w6):
