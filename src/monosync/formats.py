@@ -254,24 +254,24 @@ def serialize_measures(measures: Mapping[str, RationalMeasure]) -> str:
 
 def _parse_bindings(path: Path, table: Mapping[str, tuple[int, str]]):
     refs: dict[str, tuple[int, str]] = {}  # index and states: line, path
-    measure_refs: list[str] = []
+    measure_refs: list[tuple[int, str]] = []
     assigns: list[tuple[int, str, str]] = []
     for lineno, directive, args in _directives(path, table):
         if directive == "assign":
             assigns.append((lineno, *args))
         elif directive == "measures":
-            measure_refs.append(args[0])
+            measure_refs.append((lineno, args[0]))
         else:
             refs[directive] = (lineno, args[0])
 
     base = path.parent
     state_poset = parse_poset(base / refs["states"][1])
     labeled: dict[str, RationalMeasure] = {}
-    for ref in measure_refs:
+    for lineno, ref in measure_refs:
         batch = parse_measures(base / ref, state_poset)
         dup = set(batch) & set(labeled)
         if dup:
-            raise ParseError(str(path), 0,
+            raise ParseError(str(path), lineno,
                              f"measure labels defined twice: {sorted(dup)}")
         labeled.update(batch)
 

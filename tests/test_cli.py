@@ -379,6 +379,23 @@ def test_bad_order_is_input_error_at_its_line(capsys, tmp_path, text, lineno,
     assert err == f"error: {poset}:{lineno}: {message}\n"
 
 
+
+def test_duplicate_measure_labels_are_input_error_at_their_line(
+        capsys, data_dir, tmp_path):
+    system = tmp_path / "dup.system"
+    system.write_text(f"index {data_dir / 'pair.poset'}\n"
+                      f"states {data_dir / 'w6.poset'}\n"
+                      f"measures {data_dir / 'w6.measures'}\n"
+                      f"measures {data_dir / 'w6.measures'}\n"
+                      "assign 1 p1\nassign 2 p2\n")
+    rc, out, err = run(capsys, "check", "--system", str(system),
+                       "--out", str(tmp_path))
+    assert rc == 2 and out == []
+    assert err == (f"error: {system}:4: "
+                   "measure labels defined twice: ['p1', 'p2']\n")
+    assert list(tmp_path.iterdir()) == [system]
+
+
 def test_exponent_mass_is_input_error(capsys, data_dir, tmp_path):
     # a decimal exponent expands to 10**5000; only p/q and integers parse
     rows = tmp_path / "rows.measures"
