@@ -42,10 +42,9 @@ class MeasureSystem:
         return self.measures[alpha]
 
     def denominators(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for m in self.measures.values():
-            out.extend(m.denominators())
-        return tuple(out)
+        """The common denominator of each measure, the scale of its
+        integer view; their lcm is that of every mass."""
+        return tuple(m.integral[0] for m in self.measures.values())
 
 
 def measure_system(index_poset: Poset, state_poset: Poset,

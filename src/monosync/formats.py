@@ -50,7 +50,8 @@ _CERTIFICATE = {"dual": (3, "*"), "gap": (1, "1")}
 
 
 # a FIFO put in a file's place after its stat must not block the open
-_O_READ = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
+_O_READ = (os.O_RDONLY | getattr(os, "O_NONBLOCK", 0)
+           | getattr(os, "O_BINARY", 0))
 
 
 def _read(name: str) -> bytes:

@@ -64,17 +64,9 @@ class CellPermutation:
 
 def common_grid(*objects) -> int:
     """Least common multiple of every mass denominator found in the
-    arguments (measures, systems, couplings); a measure's is the scale
-    of its integer view."""
-    denoms: list[int] = []
-    for obj in objects:
-        if isinstance(obj, MeasureSystem):
-            denoms += [m.integral[0] for m in obj.measures.values()]
-        elif isinstance(obj, RationalMeasure):
-            denoms.append(obj.integral[0])
-        else:
-            denoms += obj.denominators()
-    return lcm(*denoms)
+    arguments (measures, systems, couplings)."""
+    denoms = [d for obj in objects for d in obj.denominators()]
+    return lcm(*denoms) if denoms else 1
 
 
 def bounded_grid(L: int) -> int:

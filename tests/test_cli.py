@@ -379,7 +379,6 @@ def test_bad_order_is_input_error_at_its_line(capsys, tmp_path, text, lineno,
     assert err == f"error: {poset}:{lineno}: {message}\n"
 
 
-
 def test_duplicate_measure_labels_are_input_error_at_their_line(
         capsys, data_dir, tmp_path):
     system = tmp_path / "dup.system"

@@ -50,7 +50,7 @@ from monosync.linprog import (
     integral,
     solve_feasibility,
 )
-from monosync.measure import F0, F1, rational_measure
+from monosync.measure import F0, F1, RationalMeasure, rational_measure
 from monosync.poset import antichain, chain, up_sets, validate_poset
 
 seeds = st.integers(0, 2**32 - 1)
@@ -351,6 +351,35 @@ def test_is_stoch_monotone_matches_bruteforce(seed):
     want = brute_stoch_monotone_witness(system)
     assert bool(verdict) == (want is None)
     assert verdict.witness == want
+
+
+
+def test_numerators_read_the_views_by_name():
+    """The dominance flows read each measure's integer view, by name when
+    its domain order is not the state poset's: on measures whose masses
+    are listed in a shuffled order, ``_numerators`` equals the lcm of
+    every mass at ``S.elements`` and the masses over it, and the
+    verdicts, witnesses and Strassen couplings equal those on the same
+    measures in poset order."""
+    rng = random.Random(18)
+    for _ in range(200):
+        S = random_poset(rng, rng.randrange(1, 12), 0.12)
+        pair = [random_measure(rng, S, rng.randrange(1, 9)) for _ in "12"]
+        shuffled = []
+        for p in pair:
+            items = list(p.mass.items())
+            rng.shuffle(items)
+            shuffled.append(RationalMeasure(dict(items)))
+        scale, flat = integral([p.of(x) for p in pair for x in S.elements])
+        n = len(S)
+        assert coupling._numerators(shuffled, S.elements) == (
+            scale, [flat[:n], flat[n:]])
+        assert dominance_violation(*shuffled, S) == dominance_violation(
+            *pair, S)
+        assert strassen_coupling(*shuffled, S) == strassen_coupling(*pair, S)
+        system = pair_system(*shuffled, S)
+        assert is_stoch_monotone(system) == is_stoch_monotone(
+            pair_system(*pair, S))
 
 
 def test_monotone_tuples_showcase(pair_poset, w6):

@@ -231,8 +231,6 @@ def test_parse_errors(tmp_path, w6):
     assert err.value.lineno == 3
 
 
-
-
 def test_duplicate_measure_labels_at_their_measures_line(tmp_path):
     """A label that a second ``measures`` file brings again is refused at
     the line naming that file, in a system or a kernel."""

@@ -63,7 +63,6 @@ def test_validate_rejects_cycles_and_bad_labels():
         validate_poset(("a",), [("a", "q")])
 
 
-
 def reference_validate_poset(elements, pairs):
     """The closure on an n x n boolean matrix (Warshall 1962), as it was
     before the bitsets: the oracle for :func:`validate_poset`."""
