@@ -230,6 +230,7 @@ class Worker:
         self.proc.stdin.write(json.dumps(inputs) + "\n")
         self.proc.stdin.flush()
         if self.proc.stdout.readline().strip() != "ready":
+            self.close()
             raise RuntimeError(f"the worker on {src} did not start")
         self.best = [math.inf] * len(inputs)
 
@@ -268,10 +269,11 @@ def main() -> int:
         failures = round_trip_failures(inputs, tmp / "again")
         for failure in failures:
             print(f"round trip: {failure}", file=sys.stderr)
-        sides = {"change": Worker(ROOT / "src", inputs)}
-        if args.parent is not None:
-            sides["parent"] = Worker(args.parent.resolve(), inputs)
+        sides = {}
         try:
+            sides["change"] = Worker(ROOT / "src", inputs)
+            if args.parent is not None:
+                sides["parent"] = Worker(args.parent.resolve(), inputs)
             order = list(sides.values())
             for _ in range(passes):
                 for side in order:
@@ -302,7 +304,6 @@ def main() -> int:
         "pair_seeds": list(PAIR_SEEDS),
         "host": {"python": platform.python_version(),
                  "machine": platform.machine(), "cpus": os.cpu_count()},
-        "parent_src": str(args.parent) if args.parent else None,
         "summary": summary,
         "inputs": rows,
         "round_trip_failures": failures,
