@@ -12,27 +12,22 @@ Per kernel it records the quartiles of the microseconds per draw, the
 cells per draw, the share of those cells whose column is the identity
 and the composed steps per draw (the cells that are not), both counted
 from the replay's own cell list and string table.  Each draw is timed
-on its own in each of PASSES passes over every kernel, and its fastest
-time is kept, so that a stall of a shared host in one pass does not
-move the medians.  Every draw is
-then drawn again with the keyed hash that ``cftp`` builds wrapped, so
-that the counters ``(t, attempt)`` it hashes are recorded, and
-cross-checked against an independent doubling replay on the string
-table, with its own cell list from ``CellSampler``:
+on its own, its fastest time in the passes of ``scripts/harness.py``
+over every draw of every kernel.  Every draw is then drawn again with
+the keyed hash that ``cftp`` builds wrapped, so that the counters
+``(t, attempt)`` it hashes are recorded, and cross-checked against an
+independent doubling replay on the string table, with its own cell list
+from ``CellSampler``:
 
 * the draw equals the replay's;
 * the counters hashed are ``(t, 0)`` for times 1..k, each once;
 * the map from time -k is constant and the map from time -(k - 1) is not,
   so the sampler stopped at coalescence.
 
-Any failure exits 1 after the file is written.
-
-With ``--runs DIR`` it also summarises benchmark runs, as
-``scripts/bench_glued_build.py --runs`` does: each file
-``DIR/{parent,change}-{workload}-{seed}.json`` holds the last stdout line
-of ``perfbench/run.py``.  Without ``--runs`` a summary already in the
-output file is kept as it is, and so is a ``parent`` entry: the kernel
-rows of the same sweep on the parent commit, as recorded there.
+Any failure exits 1 after the file is written.  ``--runs DIR`` is as
+in ``scripts/harness.py``, which also keeps a ``parent`` entry already
+in the output file: the kernel rows of the same sweep on the parent
+commit, as recorded there.
 
 Usage:
     PYTHONPATH=src python3 scripts/bench_cftp_draws.py [--quick]
@@ -43,19 +38,14 @@ and 8, with fewer draws (a few seconds).  The default output is
 BENCH_cftp_draws.json at the repository root.
 """
 
-import argparse
+import functools
 import json
-import math
-import os
-import platform
 import random
 import statistics
 import sys
-import time
 from fractions import Fraction
-from pathlib import Path
 
-from bench_glued_build import quartiles, summarise
+from harness import HOST, PASSES, arguments, fastest, quartiles, write_report
 from monosync import cftp
 from monosync.cftp import build_grand_coupling, cftp_sample, kernel
 from monosync.generate import random_class_w, random_monotone_system_chain
@@ -63,12 +53,10 @@ from monosync.measure import rational_measure
 from monosync.poset import chain
 from monosync.rng import COUNTER, CellSampler
 
-ROOT = Path(__file__).resolve().parent.parent
 SEED = 20261018
 WALKS = (8, 16, 32, 64)
 MIXTURES = (6, 8, 12)
 DRAWS = 60
-PASSES = 5
 QUICK_WALKS = (8, 16)
 QUICK_MIXTURES = (6, 8)
 QUICK_DRAWS = 15
@@ -172,29 +160,14 @@ def cross_check(gc, stream, draw, lazy):
     return f"stream {stream}: {reason}", k, moves
 
 
-def fastest_draws(tables, draws):
-    """Per table, the fastest seconds of each draw over PASSES passes.  A
-    pass runs every table in turn, so a stall of the host falls in one
-    pass of each, not in every pass of one."""
-    best = {name: [math.inf] * draws for name in tables}
-    for _ in range(PASSES):
-        for name, gc in tables.items():
-            seconds = best[name]
-            for k in range(draws):
-                t0 = time.perf_counter()
-                cftp_sample(gc, SEED, stream=k)
-                seconds[k] = min(seconds[k], time.perf_counter() - t0)
-    return best
-
-
-def measure(name, gc, draws, seconds):
-    out = [cftp_sample(gc, SEED, stream=k) for k in range(draws)]
+def measure(name, gc, draws, seconds, out):
+    """The row of kernel ``name`` from the times and results of its draws."""
     lazy = identity_cells(gc)
-    checked = [cross_check(gc, k, draw, lazy) for k, draw in enumerate(out)]
+    checked = [cross_check(gc, k, out[name, k], lazy) for k in range(draws)]
     cells = [k for _, k, _ in checked]
     moves = [m for _, _, m in checked]
     failures = [reason for reason, _, _ in checked if reason is not None]
-    us = quartiles([s * 1e6 for s in seconds])
+    us = quartiles([seconds[name, k] * 1e6 for k in range(draws)])
     row = {"kernel": name, "states": len(gc.state_poset), "L": gc.L,
            "draws": draws, "passes": PASSES, "median_us": us["median"],
            "q1_us": us["q1"], "q3_us": us["q3"],
@@ -208,23 +181,19 @@ def measure(name, gc, draws, seconds):
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--quick", action="store_true")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_cftp_draws.json")
-    ap.add_argument("--runs", type=Path, default=None)
-    args = ap.parse_args()
-
+    args = arguments(__doc__, "BENCH_cftp_draws.json").parse_args()
     walks, mixtures, draws = ((QUICK_WALKS, QUICK_MIXTURES, QUICK_DRAWS)
                               if args.quick else (WALKS, MIXTURES, DRAWS))
     kernels = {f"walk{n}": lazy_walk(n) for n in walks}
     kernels.update((f"w{n}", w_mixture(n)) for n in mixtures)
     tables = {name: build_grand_coupling(kern)
               for name, kern in kernels.items()}
-    best = fastest_draws(tables, draws)
-    rows = [measure(name, gc, draws, best[name])
+    seconds, out = fastest({
+        (name, k): (functools.partial(cftp_sample, gc, SEED, k), None)
+        for name, gc in tables.items() for k in range(draws)})
+    rows = [measure(name, gc, draws, seconds, out)
             for name, gc in tables.items()]
-    failures = sum(len(row["failures"]) for row in rows)
-    report = {
+    return write_report(args, {
         "what": "perfect draws cftp_sample(gc, SEED, stream=k) on seeded "
                 "lazy walks and class-W mixtures: microseconds per draw "
                 "(quartiles over the draws of each draw's fastest time in "
@@ -233,20 +202,9 @@ def main() -> int:
                 "(composed steps) per draw; every draw cross-checked "
                 "against a doubling replay",
         "seed": SEED,
-        "host": {"python": platform.python_version(),
-                 "machine": platform.machine(), "cpus": os.cpu_count()},
+        "host": HOST,
         "kernels": rows,
-    }
-    if args.runs is not None:
-        report["benchmark"] = summarise(args.runs)
-    if args.out.exists():
-        old = json.loads(args.out.read_text())
-        for key in ("parent", "benchmark"):
-            if key in old and key not in report:
-                report[key] = old[key]
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"wrote {args.out}; {failures} draw(s) failed their check")
-    return 1 if failures else 0
+    }, sum(len(row["failures"]) for row in rows), "draw(s)")
 
 
 if __name__ == "__main__":

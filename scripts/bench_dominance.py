@@ -5,10 +5,11 @@ For each n the states are ``random_class_w(random.Random(3), n)`` and the
 lower measure ``p = random_measure(rng, S, 64)``, drawn next from the
 same generator.  The upper measure is either ``up_moves(rng, p, S, 40,
 64)`` (dominated) or a second ``random_measure(rng, S, 64)`` (drawn
-apart, mostly not dominated).  Per system it records the median
-milliseconds of ``is_stoch_monotone`` and the exit code of ``monosync
-check`` run in process on files holding the system, which must be 0
-for a dominated pair and 1 otherwise.  Every verdict is cross-checked:
+apart, mostly not dominated).  Per system it records the milliseconds
+of ``is_stoch_monotone``, the fastest of the passes of
+``scripts/harness.py``, and the exit code of ``monosync check`` run in
+process on files holding the system, which must be 0 for a dominated
+pair and 1 otherwise.  Every verdict is cross-checked:
 
 * up to n = 22 against a scan of every up-set: the verdict, and the
   witness, which must be the smallest up-set maximizing
@@ -17,13 +18,8 @@ for a dominated pair and 1 otherwise.  Every verdict is cross-checked:
   coupling, and a not-dominated one by checking that the witness is an
   up-set with ``P_1(U) > P_2(U)`` and that no Strassen coupling exists.
 
-Any failure exits 1 after the file is written.
-
-With ``--runs DIR`` it also summarises benchmark runs, as
-``scripts/bench_glued_build.py --runs`` does: each file
-``DIR/{parent,change}-{workload}-{seed}.json`` holds the last stdout line
-of ``perfbench/run.py``.  Without ``--runs`` a summary already in the
-output file is kept as it is.
+Any failure exits 1 after the file is written.  ``--runs DIR`` is as
+in ``scripts/harness.py``.
 
 Usage:
     PYTHONPATH=src python3 scripts/bench_dominance.py [--quick]
@@ -33,20 +29,17 @@ Usage:
 BENCH_dominance.json at the repository root.
 """
 
-import argparse
 import contextlib
+import functools
 import io
 import json
-import os
-import platform
 import random
-import statistics
 import sys
 import tempfile
-import time
 from pathlib import Path
 
-from bench_glued_build import summarise
+from harness import (HOST, PASSES, arguments, fastest, write_report,
+                     write_system)
 from monosync.cli import main as monosync_main
 from monosync.coupling import (
     check_coupling,
@@ -55,16 +48,13 @@ from monosync.coupling import (
     strassen_coupling,
 )
 from monosync.errors import ContractViolation
-from monosync.formats import serialize_measures, serialize_poset, serialize_system
 from monosync.generate import random_class_w, random_measure, up_moves
 from monosync.linprog import integral
 from monosync.poset import up_sets
 
-ROOT = Path(__file__).resolve().parent.parent
 SIZES = range(12, 61, 2)
 QUICK_MAX = 28
 SCAN_MAX = 22
-REPEATS = 5
 
 
 def wide_pair(n, dominated):
@@ -75,27 +65,12 @@ def wide_pair(n, dominated):
     return pair_system(p, q, S)
 
 
-def median_ms(system):
-    times = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        verdict = is_stoch_monotone(system)
-        times.append(time.perf_counter() - t0)
-    return 1000 * statistics.median(times), verdict
-
-
 def check_exit(system, workdir: Path) -> int:
     """The exit code of ``monosync check`` on files holding ``system``."""
-    (workdir / "pair.poset").write_text(serialize_poset(system.index_poset))
-    (workdir / "states.poset").write_text(serialize_poset(system.state_poset))
-    (workdir / "pq.measures").write_text(serialize_measures(
-        {"p": system.measure_of("1"), "q": system.measure_of("2")}))
-    path = workdir / "wide.system"
-    path.write_text(serialize_system("pair.poset", "states.poset",
-                                     ["pq.measures"], {"1": "p", "2": "q"}))
+    write_system(workdir, "wide", system)
     with contextlib.redirect_stdout(io.StringIO()):
-        return monosync_main(["check", "--system", str(path),
-                              "--out", str(workdir / "out")])
+        return monosync_main(["check", "--system", f"{workdir}/wide.system",
+                              "--out", f"{workdir}/out"])
 
 
 def smallest_maximizer(system):
@@ -145,56 +120,47 @@ def cross_check(system, verdict) -> tuple[str, str | None]:
 
 
 def sweep(sizes):
+    systems = {(n, dominated): wide_pair(n, dominated)
+               for n in sizes for dominated in (True, False)}
+    seconds, verdicts = fastest({
+        key: (functools.partial(is_stoch_monotone, system), None)
+        for key, system in systems.items()})
     rows, failures = [], 0
     with tempfile.TemporaryDirectory() as tmp:
-        for n in sizes:
-            for dominated in (True, False):
-                system = wide_pair(n, dominated)
-                ms, verdict = median_ms(system)
-                rc = check_exit(system, Path(tmp))
-                checked_by, reason = cross_check(system, verdict)
-                if rc != (0 if verdict else 1):
-                    reason = f"check exited {rc} on verdict {bool(verdict)}"
-                row = {"n": n, "pair": "up_moves" if dominated else "apart",
-                       "dominated": bool(verdict), "verdict_ms": ms,
-                       "check_exit": rc, "checked_by": checked_by,
-                       "ok": reason is None}
-                if reason is not None:
-                    row["reason"] = reason
-                failures += reason is not None
-                rows.append(row)
-                print(json.dumps(row), flush=True)
+        for (n, dominated), system in systems.items():
+            verdict = verdicts[n, dominated]
+            rc = check_exit(system, Path(tmp))
+            checked_by, reason = cross_check(system, verdict)
+            if rc != (0 if verdict else 1):
+                reason = f"check exited {rc} on verdict {bool(verdict)}"
+            row = {"n": n, "pair": "up_moves" if dominated else "apart",
+                   "dominated": bool(verdict),
+                   "verdict_ms": 1000 * seconds[n, dominated],
+                   "check_exit": rc, "checked_by": checked_by,
+                   "ok": reason is None}
+            if reason is not None:
+                row["reason"] = reason
+            failures += reason is not None
+            rows.append(row)
+            print(json.dumps(row), flush=True)
     return rows, failures
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--quick", action="store_true")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_dominance.json")
-    ap.add_argument("--runs", type=Path, default=None)
-    args = ap.parse_args()
-
-    sizes = [n for n in SIZES if not args.quick or n <= QUICK_MAX]
-    rows, failures = sweep(sizes)
-    report = {
+    args = arguments(__doc__, "BENCH_dominance.json").parse_args()
+    rows, failures = sweep([n for n in SIZES
+                            if not args.quick or n <= QUICK_MAX])
+    return write_report(args, {
         "what": "is_stoch_monotone on pair systems over "
                 "random_class_w(random.Random(3), n) states, masses on 64ths, "
                 "the upper measure pushed up (up_moves, 40 quanta) or drawn "
-                f"apart; median of {REPEATS} verdicts, milliseconds, and the "
+                f"apart; milliseconds, the fastest of {PASSES} passes over "
+                "every verdict of the sweep (regenerated by a full sweep "
+                "when the median of 5 verdicts gave way to it), and the "
                 "exit code of monosync check on the same system",
-        "host": {"python": platform.python_version(),
-                 "machine": platform.machine(), "cpus": os.cpu_count()},
+        "host": HOST,
         "sweep": rows,
-    }
-    if args.runs is not None:
-        report["benchmark"] = summarise(args.runs)
-    elif args.out.exists():
-        kept = json.loads(args.out.read_text()).get("benchmark")
-        if kept is not None:
-            report["benchmark"] = kept
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"wrote {args.out}; {failures} verdict(s) failed their check")
-    return 1 if failures else 0
+    }, failures, "verdict(s)")
 
 
 if __name__ == "__main__":

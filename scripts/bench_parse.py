@@ -11,11 +11,11 @@ poset, its measures and its system file.
 
 The timing runs in worker processes, one per source tree, that import
 the package from that tree's ``src/`` and parse the same files.  A pass
-times every input over CALLS parses and keeps the mean; each input keeps
-its fastest pass out of PASSES.  With ``--parent SRC`` a second worker
-imports the package from SRC, and the passes of the two workers
-alternate (which goes first alternates too), so that both columns come
-from the same phases of a shared host.
+of ``scripts/harness.py`` times every input over CALLS parses and keeps
+the mean; each input keeps its fastest of the harness's passes.  With
+``--parent SRC`` a second worker imports the package from SRC, and the
+passes of the two workers alternate (which goes first alternates too),
+so that both columns come from the same phases of a shared host.
 
 Every input is also parsed, serialized, written out, parsed and
 serialized again in this process: the two texts must be equal, and a
@@ -24,35 +24,32 @@ failure exits 1 after the file is written.
 
 Usage:
     PYTHONPATH=src python3 scripts/bench_parse.py [--quick]
-        [--parent SRC] [--out FILE] [--runs DIR]
+        [--out FILE] [--runs DIR] [--parent SRC]
 
-``--quick`` runs the round-trip checks and two short passes (a few
+``--quick`` runs the round-trip checks and short passes (a few
 seconds).  The default output is BENCH_parse.json at the repository
-root.  With ``--runs DIR`` it also summarises benchmark runs, as
-``scripts/bench_glued_build.py --runs`` does; without it a summary
-already in the output file is kept as it is.
+root.  ``--runs DIR`` is as in ``scripts/harness.py``.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
-import platform
 import random
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from harness import (HOST, PASSES, ROOT, arguments, fastest, write_report,
+                     write_system)
+
 DATA = ROOT / "data"
 PAIR_SEEDS = (1, 2, 3, 4)
-PASSES = 5
 CALLS = 200
-QUICK_PASSES = 2
 QUICK_CALLS = 10
 
 # kind, input name, file name, and for measures the poset they are on
@@ -105,61 +102,42 @@ def write_inputs(directory: Path) -> list[dict]:
 
     for f in DATA.iterdir():
         shutil.copy(f, directory / f.name)
-    inputs = [{"kind": kind, "name": name, "path": str(directory / file),
-               "poset": on and str(directory / on)}
-              for kind, name, file, on in FIXTURES]
-
-    def generated(kind, name, file, text, on=None):
-        (directory / file).write_text(text)
-        inputs.append({"kind": kind, "name": name,
-                       "path": str(directory / file),
-                       "poset": on and str(directory / on), "text": text})
-
     w6 = formats.parse_system(DATA / "w6.system")
     pi = coupling.realize(w6)
     _, psi = poset.root_tree(w6.state_poset, "tau",
                              {"w": ("z", "v"), "z": ("x", "y")})
     phi = synchronize.synchronize_from_coupling(w6, pi, psi)["2"]
-    generated("coupling", "w6", "w6.coupling", formats.serialize_coupling(pi))
-    generated("phi", "w6", "w6_2.phi", formats.serialize_phi(phi))
-    index = formats.serialize_poset(poset.chain(coupling.PAIR_INDICES))
-    (directory / "index.poset").write_text(index)
+    texts = {"w6.coupling": formats.serialize_coupling(pi),
+             "w6_2.phi": formats.serialize_phi(phi)}
+    for file, text in texts.items():
+        (directory / file).write_text(text)
+    specs = FIXTURES + [("coupling", "w6", "w6.coupling", None),
+                        ("phi", "w6", "w6_2.phi", None)]
     for seed in PAIR_SEEDS:
         rng = random.Random(seed)
         S = generate.random_poset(rng, 11, 0.12)
         p1 = generate.random_measure(rng, S, 8)
         p2 = generate.random_measure(rng, S, 8)
         name = f"pair11-{seed}"
-        generated("poset", name, f"{name}.poset", formats.serialize_poset(S))
-        generated("measures", name, f"{name}.measures",
-                  formats.serialize_measures({"lo": p1, "hi": p2}),
-                  f"{name}.poset")
-        generated("system", name, f"{name}.system", formats.serialize_system(
-            "index.poset", f"{name}.poset", [f"{name}.measures"],
-            {"1": "lo", "2": "hi"}))
-    return inputs
+        texts.update(write_system(directory, name,
+                                  coupling.pair_system(p1, p2, S)))
+        specs += [("poset", name, f"{name}.states", None),
+                  ("measures", name, f"{name}.rows", f"{name}.states"),
+                  ("system", name, f"{name}.system", None)]
+    return [{"kind": kind, "name": name, "path": str(directory / file),
+             "poset": on and str(directory / on), "text": texts.get(file)}
+            for kind, name, file, on in specs]
 
 
 def write_back(kind: str, parsed, serialize, directory: Path,
                stem: str) -> Path:
     """The file, and for a system or kernel the files it names, that
     serialize ``parsed``; the path of the one to parse."""
-    from monosync import formats as f
-
-    if kind in ("system", "kernel"):
-        measures = parsed.measures if kind == "system" else parsed.rows
-        refs = (f"{stem}.states", [f"{stem}.rows"], {x: x for x in measures})
-        (directory / refs[0]).write_text(f.serialize_poset(parsed.state_poset))
-        (directory / refs[1][0]).write_text(f.serialize_measures(measures))
-        text = f.serialize_kernel(*refs)
-        if kind == "system":
-            (directory / f"{stem}.index").write_text(
-                f.serialize_poset(parsed.index_poset))
-            text = f.serialize_system(f"{stem}.index", *refs)
-    else:
-        text = serialize(parsed)
     path = directory / f"{stem}.{kind}"
-    path.write_text(text)
+    if kind in ("system", "kernel"):
+        write_system(directory, stem, parsed)
+    else:
+        path.write_text(serialize(parsed))
     return path
 
 
@@ -182,7 +160,8 @@ def round_trip_failures(inputs: list[dict], scratch: Path) -> list[str]:
         poset_paths[spec["path"]] = spec["poset"]
         parsed = parse(spec["path"])
         text = serialize(parsed)
-        if kind not in ("system", "kernel") and text != spec.get("text", text):
+        written = spec["text"]  # None for a fixture
+        if kind not in ("system", "kernel") and written not in (None, text):
             failures.append(f"{label}: parse then serialize changes it")
         again = write_back(kind, parsed, serialize, scratch, f"again{k}")
         poset_paths[str(again)] = spec["poset"]
@@ -195,6 +174,11 @@ def round_trip_failures(inputs: list[dict], scratch: Path) -> list[str]:
             failures.append(f"{label}: the serialized parse reads back "
                             "differently")
     return failures
+
+
+def repeat(calls, parse, path):
+    for _ in range(calls):
+        parse(path)
 
 
 def worker() -> None:
@@ -212,13 +196,10 @@ def worker() -> None:
     print("ready", flush=True)
     for line in sys.stdin:
         n = int(line)
-        out = []
-        for parse, path in calls:
-            t0 = time.perf_counter()
-            for _ in range(n):
-                parse(path)
-            out.append((time.perf_counter() - t0) / n * 1e6)
-        print(json.dumps(out), flush=True)
+        seconds, _ = fastest({k: (functools.partial(repeat, n, *call), None)
+                              for k, call in enumerate(calls)}, passes=1)
+        print(json.dumps([s / n * 1e6 for s in seconds.values()]),
+              flush=True)
 
 
 class Worker:
@@ -247,20 +228,16 @@ class Worker:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--quick", action="store_true")
+    ap = arguments(__doc__, "BENCH_parse.json")
     ap.add_argument("--parent", type=Path, default=None,
                     help="the src/ directory of the tree to compare with")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_parse.json")
-    ap.add_argument("--runs", type=Path, default=None)
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.worker:
         worker()
         return 0
 
-    passes, calls = ((QUICK_PASSES, QUICK_CALLS) if args.quick
-                     else (PASSES, CALLS))
+    calls = QUICK_CALLS if args.quick else CALLS
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "in").mkdir()
@@ -275,7 +252,7 @@ def main() -> int:
             if args.parent is not None:
                 sides["parent"] = Worker(args.parent.resolve(), inputs)
             order = list(sides.values())
-            for _ in range(passes):
+            for _ in range(PASSES):
                 for side in order:
                     side.run_pass(calls)
                 order.reverse()
@@ -296,28 +273,17 @@ def main() -> int:
     summary = {kind: {f"{name}_us": statistics.median(
         r[f"{name}_us"] for r in group) for name in sides}
         for kind, group in kinds.items()}
-    report = {
+    return write_report(args, {
         "what": "microseconds per parse, per input, the fastest of "
-                f"{passes} passes of {calls} parses each, in a worker "
+                f"{PASSES} passes of {calls} parses each, in a worker "
                 "process per source tree, passes alternating between the "
                 "trees; summary: the median input of each kind",
         "pair_seeds": list(PAIR_SEEDS),
-        "host": {"python": platform.python_version(),
-                 "machine": platform.machine(), "cpus": os.cpu_count()},
+        "host": HOST,
         "summary": summary,
         "inputs": rows,
         "round_trip_failures": failures,
-    }
-    if args.runs is not None:
-        from bench_glued_build import summarise
-        report["benchmark"] = summarise(args.runs)
-    elif args.out.exists():
-        old = json.loads(args.out.read_text())
-        if "benchmark" in old:
-            report["benchmark"] = old["benchmark"]
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"wrote {args.out}; {len(failures)} round trip(s) failed")
-    return 1 if failures else 0
+    }, len(failures), "round trip(s)")
 
 
 if __name__ == "__main__":

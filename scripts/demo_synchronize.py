@@ -18,6 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from monosync.cli import _parse_child_orders
 from monosync.coupling import InfeasibilityCertificate, is_stoch_monotone, realize
 from monosync.errors import MonosyncError
 from monosync.formats import parse_system
@@ -56,6 +57,7 @@ def main() -> int:
                         metavar="PARENT=KID1,KID2")
     parser.add_argument("--out", default=None, help="directory for SVG plots")
     args = parser.parse_args()
+    orders = _parse_child_orders(args.child_order)
 
     system = parse_system(args.system)
     verdict = is_stoch_monotone(system)
@@ -67,10 +69,6 @@ def main() -> int:
     print("stochastically monotone: true")
 
     root = args.root or default_root(system.state_poset)
-    orders = {}
-    for spec in args.child_order:
-        parent, _, kids = spec.partition("=")
-        orders[parent] = tuple(kids.split(","))
     _, extension = root_tree(system.state_poset, root, orders or None)
     print(f"rooted at {root}, extension {' < '.join(extension.order)}")
 

@@ -58,11 +58,16 @@ def main() -> int:
                           system.state_poset.elements if mu.of(s) > 0)
         print(f"  P_{alpha}: {masses}")
 
-    assert is_stoch_monotone(system)
+    # checked without assert, which python -O would skip
+    failed = [what for what, ok in (
+        ("stochastically monotone", is_stoch_monotone(system)),
+        ("no monotone coupling",
+         isinstance(realize(system), InfeasibilityCertificate)),
+        ("certificate verifies", verify_certificate(system, cert))) if not ok]
+    if failed:
+        print(f"not a counterexample: fails {', '.join(failed)}")
+        return 1
     print("stochastically monotone: true")
-    again = realize(system)
-    assert isinstance(again, InfeasibilityCertificate)
-    assert verify_certificate(system, cert)
     print(f"monotone coupling LP: infeasible, certificate gap {cert.gap}")
     support = ", ".join(f"y[{a},{s}]={w}" for (a, s), w in
                         sorted(cert.dual.items()) if w != 0)

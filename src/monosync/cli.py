@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -130,6 +131,11 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_synchronize(args: argparse.Namespace) -> int:
     system = parse_system(args.system)
+    # each index names its phi_<index> files under --out
+    for alpha in system.index_poset.elements:
+        if {"/", "\0", os.sep, os.altsep} & set(alpha):
+            raise MonosyncError(f"index element {alpha!r} cannot be part "
+                                "of a file name")
     root = args.root if args.root is not None else default_root(system.state_poset)
     _, extension = root_tree(system.state_poset, root,
                              args.child_orders or None)

@@ -22,6 +22,11 @@ PALETTE = (
     "#edc949", "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac",
 )
 
+# names may hold XML's special characters; str.translate with this table
+# escapes them for text and for double-quoted attributes
+_XML_ESCAPES = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+
 
 def _state_fill(order: tuple[str, ...]) -> dict[str, str]:
     return {s: PALETTE[i % len(PALETTE)] for i, s in enumerate(order)}
@@ -31,10 +36,11 @@ def svg_permutation(phi: CellPermutation, label: str = "") -> str:
     """Unit-square graph of the map: one diagonal stroke per cell."""
     L = phi.L
     side = BAND_WIDTH
+    title = (label or "cell permutation").translate(_XML_ESCAPES)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" '
         f'height="{side}" viewBox="0 0 {L} {L}">',
-        f'<title>{label or "cell permutation"}</title>',
+        f'<title>{title}</title>',
         f'<rect x="0" y="0" width="{L}" height="{L}" fill="white" '
         f'stroke="black" stroke-width="0.02"/>',
     ]
@@ -51,20 +57,22 @@ def svg_permutation(phi: CellPermutation, label: str = "") -> str:
 def _band(composed: tuple[str, ...], row: int, fill: Mapping[str, str],
           label: str) -> list[str]:
     L = len(composed)
+    label = label.translate(_XML_ESCAPES)
     out = [f'<g data-index="{label}">']
     start = 0
     for i in range(1, L + 1):
         if i == L or composed[i] != composed[start]:
             s = composed[start]
+            name = s.translate(_XML_ESCAPES)
             out.append(
                 f'<rect x="{start}" y="{row}" width="{i - start}" height="1" '
                 f'fill="{fill[s]}" stroke="black" stroke-width="0.02">'
-                f'<title>{label}: {s}</title></rect>')
+                f'<title>{label}: {name}</title></rect>')
             mid2 = start + i  # twice the midpoint, kept integral
             out.append(
                 f'<text x="{mid2 / 2 if mid2 % 2 else mid2 // 2}" '
                 f'y="{row}.7" font-size="0.45" text-anchor="middle" '
-                f'font-family="monospace">{s}</text>')
+                f'font-family="monospace">{name}</text>')
             start = i
     out.append("</g>")
     return out

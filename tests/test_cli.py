@@ -5,6 +5,8 @@ import os
 import random
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,8 @@ from monosync.measure import rational_measure
 from monosync.poset import chain
 
 from conftest import IDENTITY_15, PHI2_15, SHOWCASE_ATOMS, package_env
+
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 def run(capsys, *argv):
@@ -162,6 +166,76 @@ def test_synchronize_showcase(capsys, data_dir, tmp_path):
                  "phi_1.svg", "phi_2.svg"):
         text = (tmp_path / name).read_text()
         assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
+
+
+def write_pair_by_name(directory, index, states, masses):
+    """A system file whose index and state posets are the chains
+    ``index`` and ``states``, row k (masses in state order) assigned to
+    the k-th index."""
+    def chain_text(names):
+        return "".join(f"element {x}\n" for x in names) + "".join(
+            f"cover {a} {b}\n" for a, b in zip(names, names[1:]))
+
+    (directory / "index.poset").write_text(chain_text(index))
+    (directory / "states.poset").write_text(chain_text(states))
+    (directory / "rows.measures").write_text("".join(
+        f"measure r{k}\n" + "".join(f"mass {s} {m}\n"
+                                    for s, m in zip(states, row))
+        for k, row in enumerate(masses)))
+    path = directory / "pair.system"
+    path.write_text("index index.poset\nstates states.poset\n"
+                    "measures rows.measures\n" + "".join(
+                        f"assign {a} r{k}\n" for k, a in enumerate(index)))
+    return path
+
+
+def test_svg_names_are_escaped(capsys, tmp_path):
+    # names holding XML's special characters stay well-formed, in text
+    # and inside attributes, and read back as they were
+    index, states = ('"1"', "2&"), ("a&b", "<c>")
+    system = write_pair_by_name(tmp_path, index, states,
+                                [("1/2", "1/2"), ("1/4", "3/4")])
+    out = tmp_path / "out"
+    rc, lines, _ = run(capsys, "synchronize", "--system", str(system),
+                       "--out", str(out))
+    assert rc == 0 and lines[-1] == "verified true"
+    for name in ("bands_naive.svg", "bands_synchronized.svg"):
+        bands = ET.parse(out / name).getroot().findall(SVG + "g")
+        assert [g.get("data-index") for g in bands] == list(index)
+        texts = {t.text for g in bands for t in g.iter(SVG + "text")}
+        assert texts == set(states)
+    for alpha in index:
+        title = ET.parse(out / f"phi_{alpha}.svg").getroot().find(
+            SVG + "title")
+        assert title.text == alpha
+
+
+@pytest.mark.parametrize("alpha", ["x/../../../escaped", "x\0y"])
+def test_index_name_that_is_no_file_name_is_input_error(capsys, tmp_path,
+                                                       alpha):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    system = write_pair_by_name(inputs, ("1", alpha), ("lo", "hi"),
+                                [("1/2", "1/2"), ("1/4", "3/4")])
+    before = set(tmp_path.rglob("*"))
+    rc, out, err = run(capsys, "synchronize", "--system", str(system),
+                       "--out", str(tmp_path / "a" / "b" / "out"))
+    assert (rc, out) == (2, [])
+    assert err == (f"error: index element {alpha!r} cannot be part of a "
+                   "file name\n")
+    assert set(tmp_path.rglob("*")) == before
+
+
+def test_demo_child_orders_are_the_cli_s(tmp_path):
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    done = subprocess.run(
+        [sys.executable, str(scripts / "demo_synchronize.py"),
+         "--child-order", "w=z,v",
+         "--child-order", "w=v,z", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=package_env(), timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: duplicate --child-order for 'w'\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synchronize_without_leaf_is_input_error(capsys, data_dir, tmp_path):
