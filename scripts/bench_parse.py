@@ -31,21 +31,17 @@ seconds).  The default output is BENCH_parse.json at the repository
 root.  ``--runs DIR`` is as in ``scripts/harness.py``.
 """
 
-import argparse
 import functools
 import json
-import math
-import os
 import random
 import shutil
 import statistics
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-from harness import (HOST, PASSES, ROOT, arguments, fastest, write_report,
-                     write_system)
+from harness import (HOST, PASSES, ROOT, alternate, arguments, fastest,
+                     write_report, write_system)
 
 DATA = ROOT / "data"
 PAIR_SEEDS = (1, 2, 3, 4)
@@ -182,9 +178,9 @@ def repeat(calls, parse, path):
 
 
 def worker() -> None:
-    """Read the inputs as JSON from stdin's first line; then, per line
-    ``CALLS``, time one pass over them and answer with one JSON line of
-    microseconds per parse."""
+    """Read the inputs as JSON from stdin's first line and answer
+    ``"ready"``; then, per line ``CALLS``, time one pass over them and
+    answer with one JSON line of microseconds per parse."""
     from monosync.formats import parse_poset
 
     inputs = json.loads(sys.stdin.readline())
@@ -193,7 +189,7 @@ def worker() -> None:
     by_path = {spec["path"]: posets.get(spec["poset"]) for spec in inputs}
     table = parsers(lambda p: by_path[p])
     calls = [(table[spec["kind"]][0], spec["path"]) for spec in inputs]
-    print("ready", flush=True)
+    print(json.dumps("ready"), flush=True)
     for line in sys.stdin:
         n = int(line)
         seconds, _ = fastest({k: (functools.partial(repeat, n, *call), None)
@@ -202,37 +198,8 @@ def worker() -> None:
               flush=True)
 
 
-class Worker:
-    def __init__(self, src: Path, inputs: list[dict]):
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        self.proc = subprocess.Popen(
-            [sys.executable, __file__, "--worker"], env=env, text=True,
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-        self.proc.stdin.write(json.dumps(inputs) + "\n")
-        self.proc.stdin.flush()
-        if self.proc.stdout.readline().strip() != "ready":
-            self.close()
-            raise RuntimeError(f"the worker on {src} did not start")
-        self.best = [math.inf] * len(inputs)
-
-    def run_pass(self, calls: int) -> None:
-        self.proc.stdin.write(f"{calls}\n")
-        self.proc.stdin.flush()
-        us = json.loads(self.proc.stdout.readline())
-        self.best = [min(a, b) for a, b in zip(self.best, us)]
-
-    def close(self) -> None:
-        self.proc.stdin.close()
-        self.proc.wait()
-        self.proc.stdout.close()
-
-
 def main() -> int:
-    ap = arguments(__doc__, "BENCH_parse.json")
-    ap.add_argument("--parent", type=Path, default=None,
-                    help="the src/ directory of the tree to compare with")
-    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    args = ap.parse_args()
+    args = arguments(__doc__, "BENCH_parse.json", workers=True).parse_args()
     if args.worker:
         worker()
         return 0
@@ -246,25 +213,13 @@ def main() -> int:
         failures = round_trip_failures(inputs, tmp / "again")
         for failure in failures:
             print(f"round trip: {failure}", file=sys.stderr)
-        sides = {}
-        try:
-            sides["change"] = Worker(ROOT / "src", inputs)
-            if args.parent is not None:
-                sides["parent"] = Worker(args.parent.resolve(), inputs)
-            order = list(sides.values())
-            for _ in range(PASSES):
-                for side in order:
-                    side.run_pass(calls)
-                order.reverse()
-        finally:
-            for side in sides.values():
-                side.close()
+        sides = alternate(__file__, inputs, args.parent, str(calls),
+                          PASSES)
 
     rows = []
     for k, spec in enumerate(inputs):
         row = {"kind": spec["kind"], "input": spec["name"]}
-        row.update((f"{name}_us", side.best[k])
-                   for name, side in sides.items())
+        row.update((f"{name}_us", us[k]) for name, (_, us) in sides.items())
         rows.append(row)
         print(json.dumps(row), flush=True)
     kinds = {}

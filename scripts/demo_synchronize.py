@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from monosync.cli import _parse_child_orders
+from monosync.cli import _check_index_names, _parse_child_orders
 from monosync.coupling import InfeasibilityCertificate, is_stoch_monotone, realize
 from monosync.errors import MonosyncError
 from monosync.formats import parse_system
@@ -60,6 +60,7 @@ def main() -> int:
     orders = _parse_child_orders(args.child_order)
 
     system = parse_system(args.system)
+    _check_index_names(system)  # before any plot is written under --out
     verdict = is_stoch_monotone(system)
     if not verdict:
         alpha, beta, upset = verdict.witness

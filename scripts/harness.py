@@ -5,6 +5,11 @@ Every timed number is the fastest of ``PASSES`` passes, and a pass times
 every job of the sweep once, in turn, so that a stall of a shared host
 falls in one pass of each job rather than in every pass of one.
 
+With ``--parent SRC`` a sweep runs its timing in worker processes, one
+per source tree, each importing the package from its tree's ``src/``
+(:class:`Worker`), and :func:`alternate` alternates the workers' passes,
+so that both columns come from the same phases of a shared host.
+
 ``--runs DIR`` summarises benchmark runs as the report's ``benchmark``
 entry: each file ``DIR/{parent,change}-{workload}-{seed}.json`` holds
 the last stdout line of ``perfbench/run.py``, and the summary gives, per
@@ -21,6 +26,8 @@ import math
 import os
 import platform
 import statistics
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -30,12 +37,22 @@ HOST = {"python": platform.python_version(), "machine": platform.machine(),
         "cpus": os.cpu_count()}
 
 
-def arguments(doc: str, out: str) -> argparse.ArgumentParser:
-    """The options of every sweep; ``out`` names the default report."""
+def arguments(doc: str, out: str,
+              workers: bool = False) -> argparse.ArgumentParser:
+    """The options of every sweep; ``out`` names the default report.
+    ``--runs DIR`` is summarised as it is parsed, so that a bad run file
+    ends the sweep before it starts, in exit 2.  A sweep that times in
+    ``workers`` also takes ``--parent SRC`` and its own ``--worker``."""
     ap = argparse.ArgumentParser(description=doc.splitlines()[0])
     ap.add_argument("--quick", action="store_true")
     ap.add_argument("--out", type=Path, default=ROOT / out)
-    ap.add_argument("--runs", type=Path, default=None)
+    ap.add_argument("--runs", type=runs_summary, default=None, metavar="DIR")
+    if workers:
+        ap.add_argument("--parent", type=Path, default=None,
+                        help="the src/ directory of the tree to compare "
+                             "with")
+        ap.add_argument("--worker", action="store_true",
+                        help=argparse.SUPPRESS)
     return ap
 
 
@@ -52,6 +69,63 @@ def fastest(jobs: dict, passes: int = PASSES) -> tuple[dict, dict]:
             last[name] = fn(*args)
             best[name] = min(best[name], time.perf_counter() - t0)
     return best, last
+
+
+class Worker:
+    """``script --worker`` in a process that imports the package from
+    ``src``.  It reads the inputs as one JSON line and answers with one
+    JSON line, its greeting, and then one JSON line per request line."""
+
+    def __init__(self, script: str, src: Path, inputs):
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        self.src = src
+        self.proc = subprocess.Popen(
+            [sys.executable, script, "--worker"], env=env, text=True,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        try:
+            self.greeting = self.ask(json.dumps(inputs))
+        except BaseException:
+            self.close()
+            raise
+
+    def ask(self, line: str):
+        self.proc.stdin.write(line + "\n")
+        self.proc.stdin.flush()
+        answer = self.proc.stdout.readline()
+        if not answer:
+            raise RuntimeError(f"the worker on {self.src} ended")
+        return json.loads(answer)
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
+        self.proc.stdout.close()
+
+
+def alternate(script: str, inputs, parent: Path | None, request: str,
+              passes: int) -> dict:
+    """Time ``inputs`` in a :class:`Worker` on this tree's ``src/``, side
+    ``"change"``, and with ``parent`` in one on that tree too, side
+    ``"parent"``: each side answers ``request`` ``passes`` times, the
+    sides taking turns and which goes first alternating.  Per side, its
+    greeting and the elementwise least of its answers."""
+    trees = {"change": ROOT / "src"}
+    if parent is not None:
+        trees["parent"] = parent.resolve()
+    sides, best = {}, {}
+    try:
+        for name, src in trees.items():
+            sides[name] = Worker(script, src, inputs)
+        order = list(sides)
+        for _ in range(passes):
+            for name in order:
+                answer = sides[name].ask(request)
+                best[name] = list(map(min, best.get(name, answer), answer))
+            order.reverse()
+    finally:
+        for side in sides.values():
+            side.close()
+    return {name: (side.greeting, best[name]) for name, side in sides.items()}
 
 
 def write_system(directory: Path, stem: str, system) -> dict[str, str]:
@@ -81,23 +155,38 @@ def quartiles(values):
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def summarise(runs: Path):
+def summarise(runs: Path) -> dict:
+    """The ``benchmark`` entry of the module docstring.  A workload with
+    fewer than two complete parent/change pairs is skipped with a message
+    on stderr; a file that is no benchmark run raises ``ValueError``
+    naming it."""
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     higher = {m["name"]: m["better"] == "higher"
               for m in declared["end_to_end"]}
     results: dict = {}
     for path in sorted(runs.glob("*.json")):
-        side, rest = path.stem.split("-", 1)
-        workload, seed = rest.rsplit("-", 1)
-        metrics = json.loads(path.read_text())["metrics"]
-        results.setdefault(workload, {}).setdefault(int(seed), {})[side] = {
-            k: v["value"] for k, v in metrics.items() if k in higher}
+        try:
+            side, rest = path.stem.split("-", 1)
+            workload, seed = rest.rsplit("-", 1)
+            metrics = json.loads(path.read_text())["metrics"]
+            results.setdefault(workload, {}).setdefault(int(seed), {})[
+                side] = {k: v["value"] for k, v in metrics.items()
+                         if k in higher}
+        except (ValueError, KeyError, TypeError, AttributeError) as e:
+            raise ValueError(f"{path} is not a benchmark run: {e!r}") from e
     summary = {}
     for workload, by_seed in sorted(results.items()):
         pairs = {s: p for s, p in by_seed.items()
                  if "parent" in p and "change" in p}
+        if len(pairs) < 2:
+            print(f"{workload}: {len(pairs)} complete parent/change "
+                  "pair(s), fewer than two; skipped", file=sys.stderr)
+            continue
         rows = {}
         for metric, up in higher.items():
+            if not all(metric in v for p in pairs.values()
+                       for v in p.values()):
+                continue
             old = [p["parent"][metric] for p in pairs.values()]
             new = [p["change"][metric] for p in pairs.values()]
             wins = sum((b > a) if up else (b < a) for a, b in zip(old, new))
@@ -107,13 +196,22 @@ def summarise(runs: Path):
     return summary
 
 
+def runs_summary(text: str) -> dict:
+    """``--runs DIR`` as argparse reads it: the summary of DIR, a bad run
+    file being a usage error."""
+    try:
+        return summarise(Path(text))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from e
+
+
 def write_report(args: argparse.Namespace, report: dict, failures: int,
                  checked: str) -> int:
     """Write ``report`` to ``--out`` with the entries that the module
     docstring names, print how many ``checked`` (tables, draws, ...)
     failed, and return 1 if any did, else 0."""
     if args.runs is not None:
-        report["benchmark"] = summarise(args.runs)
+        report["benchmark"] = args.runs
     if args.out.exists():
         report = {**json.loads(args.out.read_text()), **report}
     args.out.write_text(json.dumps(report, indent=1) + "\n")

@@ -75,6 +75,15 @@ def _parse_child_orders(specs: list[str]) -> dict[str, tuple[str, ...]]:
     return out
 
 
+def _check_index_names(system) -> None:
+    """Refuse an index that cannot be part of a file name: each index
+    names its ``phi_<index>`` files under ``--out``."""
+    for alpha in system.index_poset.elements:
+        if {"/", "\0", os.sep, os.altsep} & set(alpha):
+            raise MonosyncError(f"index element {alpha!r} cannot be part "
+                                "of a file name")
+
+
 def _write(args: argparse.Namespace, name: str, text: str) -> Path:
     target = Path(args.out) / name
     try:
@@ -131,11 +140,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_synchronize(args: argparse.Namespace) -> int:
     system = parse_system(args.system)
-    # each index names its phi_<index> files under --out
-    for alpha in system.index_poset.elements:
-        if {"/", "\0", os.sep, os.altsep} & set(alpha):
-            raise MonosyncError(f"index element {alpha!r} cannot be part "
-                                "of a file name")
+    _check_index_names(system)
     root = args.root if args.root is not None else default_root(system.state_poset)
     _, extension = root_tree(system.state_poset, root,
                              args.child_orders or None)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add, mul
 from typing import Mapping, Sequence
 
 from .errors import ContractViolation, DomainMismatch, SizeLimit
@@ -302,11 +303,21 @@ def monotone_tuples(index_poset: Poset, state_poset: Poset,
 
     Tuples align with ``index_poset.elements`` and come back sorted
     lexicographically by state index, so downstream pivoting and file
-    output are deterministic.  Indices are assigned along a minimal-first
-    linear extension by a depth-first search on an explicit stack, not by
-    recursion: an index may take the states at or above those of its
-    lower covers, which are all assigned before it.  Raises
-    :class:`SizeLimit` beyond ``cap``.
+    output are deterministic.  Raises :class:`SizeLimit` beyond ``cap``.
+    """
+    states = state_poset.elements
+    return tuple(tuple(map(states.__getitem__, f))
+                 for f in _index_tuples(index_poset, state_poset, cap))
+
+
+def _index_tuples(index_poset: Poset, state_poset: Poset,
+                  cap: int) -> list[tuple[int, ...]]:
+    """The maps of :func:`monotone_tuples` as state indices, sorted.
+
+    Indices are assigned along a minimal-first linear extension by a
+    depth-first search on an explicit stack, not by recursion: an index
+    may take the states at or above those of its lower covers, which are
+    all assigned before it.
     """
     states = state_poset.elements
     above: list[list[int]] = [[] for _ in states]
@@ -324,6 +335,8 @@ def monotone_tuples(index_poset: Poset, state_poset: Poset,
              for k, alpha in enumerate(topo)]
     place = tuple(map(at.__getitem__, index_poset.elements))
 
+    # the states above every one of a tuple of states, ascending
+    meets: dict[tuple[int, ...], list[int]] = {}
     found: list[tuple[int, ...]] = []
     assign = [0] * n
     stack: list = []  # stack[k] iterates the states left for position k
@@ -333,16 +346,25 @@ def monotone_tuples(index_poset: Poset, state_poset: Poset,
             cover = lower[k]
             if not cover:
                 cands = every
-            else:
+            elif len(cover) == 1:
                 cands = above[assign[cover[0]]]
-                if len(cover) > 1:
-                    rest = [above_sets[assign[j]] for j in cover[1:]]
-                    cands = [t for t in cands if all(t in r for r in rest)]
-            stack.append(iter(cands))
-        else:
-            found.append(tuple(map(assign.__getitem__, place)))
-            if len(found) > cap:
-                raise SizeLimit(f"more than {cap} monotone tuples")
+            else:
+                below = tuple(map(assign.__getitem__, cover))
+                cands = meets.get(below)
+                if cands is None:
+                    rest = [above_sets[s] for s in below[1:]]
+                    cands = meets[below] = [
+                        t for t in above[below[0]]
+                        if all(t in r for r in rest)]
+            if k < n - 1:
+                stack.append(iter(cands))
+            else:  # the last position completes a tuple per candidate
+                for assign[k] in cands:
+                    found.append(tuple(map(assign.__getitem__, place)))
+        else:  # no index at all: one empty tuple
+            found.append(())
+        if len(found) > cap:
+            raise SizeLimit(f"more than {cap} monotone tuples")
         while stack:
             t = next(stack[-1], None)
             if t is not None:
@@ -352,7 +374,7 @@ def monotone_tuples(index_poset: Poset, state_poset: Poset,
         else:
             break
     found.sort()
-    return tuple(tuple(map(states.__getitem__, f)) for f in found)
+    return found
 
 
 @dataclass(frozen=True)
@@ -373,44 +395,40 @@ def realize(system: MeasureSystem,
     one equation per (index, state): the weights of tuples assigning
     ``s`` to ``alpha`` must add up to ``P_alpha(s)``.  Feasible systems
     yield a coupling whose marginals match exactly; infeasible ones
-    yield a certificate that :func:`verify_certificate` re-checks.  Both
-    are checked before they are returned: the coupling by
-    :func:`check_coupling`, the certificate against the tuples already
-    enumerated here (nonpositive on each, ``y.b`` equal to its positive
-    gap); either failure raises :class:`ContractViolation`.
+    yield a certificate that :func:`verify_certificate` re-checks.  The
+    LP is built on state indices, a tuple's column being its rows
+    ``i * len(states) + state index``, and names are made only for the
+    returned atoms or dual.  Both are checked before they are returned:
+    the coupling by :func:`check_coupling`, the certificate against the
+    columns already built here (nonpositive on each, ``y.b`` equal to its
+    positive gap); either failure raises :class:`ContractViolation`.
     """
-    tuples = monotone_tuples(system.index_poset, system.state_poset, cap)
     indices = system.index_poset.elements
     states = system.state_poset.elements
-    row_of = {
-        (a, s): i * len(states) + j
-        for i, a in enumerate(indices)
-        for j, s in enumerate(states)
-    }
-    columns = [
-        tuple(row_of[(a, tup[i])] for i, a in enumerate(indices))
-        for tup in tuples
-    ]
-    b = [F0] * len(row_of)
-    for (a, s), r in row_of.items():
-        b[r] = system.measure_of(a).of(s)
+    ns = len(states)
+    tuples = _index_tuples(system.index_poset, system.state_poset, cap)
+    # row i * ns + j is the equation of (indices[i], states[j])
+    offsets = range(0, len(indices) * ns, ns)
+    columns = [tuple(map(add, offsets, tup)) for tup in tuples]
+    b = [system.measure_of(a).of(s) for a in indices for s in states]
 
     result = solve_feasibility(columns, b)
     if isinstance(result, FarkasVector):
-        dual = {
-            key: result.y[r]
-            for key, r in sorted(row_of.items(),
-                                 key=lambda kv: kv[1])
-            if result.y[r] != 0
-        }
-        bad = _positive_tuple(system, dual, tuples)
-        rhs = _dual_rhs(system, dual)
+        yscale, ys = integral(result.y)
+        bad = next((tup for tup, col in zip(tuples, columns)
+                    if sum(map(ys.__getitem__, col)) > 0), None)
+        bscale, bs = integral(b)
+        rhs = Fraction(sum(map(mul, ys, bs)), yscale * bscale)
         if bad is not None or not rhs == result.gap > 0:
-            witness = ("tuple", bad) if bad is not None else ("gap", rhs)
+            witness = (("tuple", tuple(map(states.__getitem__, bad)))
+                       if bad is not None else ("gap", rhs))
             raise ContractViolation(
                 f"certificate fails its check: {witness}", witness)
+        dual = {(indices[r // ns], states[r % ns]): v
+                for r, v in enumerate(result.y) if v}
         return InfeasibilityCertificate(dual, result.gap)
-    atoms = {tuples[j]: w for j, w in sorted(result.x.items())}
+    atoms = {tuple(map(states.__getitem__, tuples[j])): w
+             for j, w in sorted(result.x.items())}
     coupling = Coupling(indices, atoms)
     check_coupling(system, coupling)
     return coupling

@@ -1,7 +1,10 @@
 """Shared fixtures: the six-element showcase poset with its measure pair,
-the two-state kernel, and hypothesis settings for the whole suite."""
+the two-state kernel, and hypothesis settings for the whole suite.  The
+benchmark scripts of ``scripts/`` are importable from every test, which
+shares their input builders."""
 
 import os
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +26,9 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
-DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA_DIR = ROOT / "data"
+sys.path.insert(0, str(ROOT / "scripts"))
 
 
 def package_env() -> dict[str, str]:

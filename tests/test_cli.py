@@ -226,6 +226,24 @@ def test_index_name_that_is_no_file_name_is_input_error(capsys, tmp_path,
     assert set(tmp_path.rglob("*")) == before
 
 
+def test_demo_refuses_an_index_name_that_is_no_file_name(tmp_path):
+    alpha = "x/../../../escaped"
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    system = write_pair_by_name(inputs, ("1", alpha), ("lo", "hi"),
+                                [("1/2", "1/2"), ("1/4", "3/4")])
+    before = set(tmp_path.rglob("*"))
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    done = subprocess.run(
+        [sys.executable, str(scripts / "demo_synchronize.py"),
+         "--system", str(system), "--out", str(tmp_path / "a" / "b" / "out")],
+        capture_output=True, text=True, env=package_env(), timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (f"error: index element {alpha!r} cannot be part "
+                           "of a file name\n")
+    assert set(tmp_path.rglob("*")) == before
+
+
 def test_demo_child_orders_are_the_cli_s(tmp_path):
     scripts = Path(__file__).resolve().parents[1] / "scripts"
     done = subprocess.run(

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bench_lp import farkas_mixture, pair11
 from conftest import SHOWCASE_ATOMS, kite
 from monosync import coupling
 from monosync.coupling import (
@@ -583,26 +584,6 @@ def class_w_pair(seed):
     return pair_system(p1, up_moves(rng, p1, S, 24, 12), S)
 
 
-def farkas_mixture(data_dir, seed, on_kite):
-    """(1 - e) P + e Q for the infeasible diamond system P and a seeded
-    monotone Q, with the largest e in a fixed list that keeps the data/
-    certificate's gap positive; on the kite the top state gets no mass."""
-    base = parse_system(data_dir / "diamond_infeasible.system")
-    cert = parse_certificate(data_dir / "diamond_infeasible.cert")
-    D = base.index_poset
-    Q = random_monotone_system(random.Random(seed), D, D, 5)
-    yq = sum((w * Q.measure_of(a).of(s)
-              for (a, s), w in cert.dual.items()), Fraction(0))
-    e = max(x for x in (Fraction(1, 20), Fraction(1, 10), Fraction(1, 5),
-                        Fraction(1, 3)) if (1 - x) * cert.gap + x * yq > 0)
-    states = kite() if on_kite else D
-    return measure_system(D, states, {
-        a: rational_measure(states.elements, {
-            s: (1 - e) * base.measure_of(a).of(s) + e * Q.measure_of(a).of(s)
-            for s in D.elements})
-        for a in D.elements})
-
-
 def pinned_systems(data_dir, w6):
     yield parse_system(data_dir / "w6.system")
     yield parse_system(data_dir / "diamond_infeasible.system")
@@ -610,7 +591,7 @@ def pinned_systems(data_dir, w6):
     for seed in range(6):
         yield class_w_pair(seed)
     for seed in range(4):
-        yield farkas_mixture(data_dir, seed, on_kite=seed % 2 == 1)
+        yield farkas_mixture(seed, on_kite=seed % 2 == 1)
 
 
 # digest of every realize output as first recorded; the LP's pivot path,
@@ -628,3 +609,41 @@ def test_realize_outputs_pinned(data_dir, w6):
         else:
             h.update(serialize_certificate(got).encode())
     assert h.hexdigest() == REALIZE_DIGEST
+
+
+def seeded_realize_systems():
+    """Seeded systems of every shape ``realize`` meets: random index and
+    state posets with monotone or arbitrary measures (feasible and
+    infeasible LPs, non-unit pivots), and 11-state pair systems of the
+    benchmark's cli-mixed size, dominated and drawn apart."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        A = (random_poset(rng, rng.randrange(1, 4)) if seed % 3 else
+             random_bounded_poset(rng, rng.randrange(0, 2)))
+        S = (random_class_w(rng, rng.randrange(4, 7)) if seed % 2 else
+             random_poset(rng, rng.randrange(2, 6)))
+        if seed % 4 == 3:
+            yield measure_system(A, S, {
+                a: random_measure(rng, S, rng.randrange(2, 13))
+                for a in A.elements})
+        else:
+            yield random_monotone_system(rng, A, S, rng.randrange(2, 13))
+    for seed in range(16):
+        yield pair11(random.Random(100 + seed), dominated=seed % 2 == 0)
+
+
+# digest of the serialized realize outputs on seeded_realize_systems, as
+# first recorded
+REALIZE_SEEDED_DIGEST = (
+    "c2aecb95947268b63a1e304f50198ec248f4463806de8c2700ac9974efd82a4e")
+
+
+def test_realize_seeded_outputs_pinned():
+    h = hashlib.sha256()
+    for system in seeded_realize_systems():
+        got = realize(system)
+        if isinstance(got, Coupling):
+            h.update(serialize_coupling(got).encode())
+        else:
+            h.update(serialize_certificate(got).encode())
+    assert h.hexdigest() == REALIZE_SEEDED_DIGEST

@@ -6,12 +6,15 @@ pivots, so it must return exactly the same point or Farkas vector.
 Columns are 0/1, given as the rows that hold a 1.
 """
 
+import random
 from fractions import Fraction
 from typing import Sequence
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from bench_lp import farkas_mixture, lp_of, pair11
+from monosync import linprog
 from monosync.linprog import (
     FarkasVector,
     FeasiblePoint,
@@ -166,3 +169,83 @@ def test_zero_right_hand_side():
 def test_negative_right_hand_side():
     with pytest.raises(ValueError):
         solve_feasibility([[0]], [Fraction(-1, 2)])
+
+
+@pytest.mark.parametrize("column", [[-1], [0, 2], [1, 1], [0, 1, 0]])
+def test_columns_name_distinct_rows_in_range(column):
+    with pytest.raises(ValueError, match="column 1 must name distinct rows"):
+        solve_feasibility([[0], column], [F1, F0])
+
+
+@st.composite
+def dense_systems(draw):
+    """Every column holds at least half the rows: determinants above 1,
+    so pivots that divide, and duals that outgrow the first lanes."""
+    m = draw(st.integers(1, 10))
+    n = draw(st.integers(0, 40))
+    columns = [sorted(draw(st.sets(st.integers(0, m - 1),
+                                   min_size=(m + 1) // 2)))
+               for _ in range(n)]
+    b = draw(st.lists(st.builds(Fraction, st.integers(0, 12),
+                                st.integers(1, 12)),
+                      min_size=m, max_size=m))
+    return columns, b
+
+
+@given(dense_systems())
+@settings(max_examples=60)
+def test_dense_systems_match_rational_bland(system):
+    columns, b = system
+    got = solve_feasibility(columns, b)
+    assert got == fraction_bland(columns, b)
+    assert holds(columns, b, got)
+
+
+def test_dense_systems_regrow_lanes_and_divide(monkeypatch):
+    """A seeded batch of dense systems takes the paths the strategy above
+    is for: lanes rebuilt wider, and a final determinant above 1."""
+    built = []
+
+    class Counted(linprog._Lanes):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.width)
+
+    monkeypatch.setattr(linprog, "_Lanes", Counted)
+    regrown = divided = 0
+    rng = random.Random(5)
+    for _ in range(40):
+        m = rng.randrange(6, 11)
+        columns = [sorted(rng.sample(range(m), rng.randrange(m // 2, m + 1)))
+                   for _ in range(rng.randrange(20, 41))]
+        b = [Fraction(rng.randrange(13), rng.randrange(1, 13))
+             for _ in range(m)]
+        built.clear()
+        got = solve_feasibility(columns, b)
+        assert got == fraction_bland(columns, b)
+        regrown += len(built) > 1
+        # a Farkas vector is over the final determinant, and a point over
+        # it times a divisor of lcm(1, ..., 12)
+        if isinstance(got, FarkasVector):
+            divided += any(v.denominator > 1 for v in got.y)
+        else:
+            divided += any(27720 % v.denominator for v in got.x.values())
+    assert regrown and divided
+
+
+def realize_shaped_systems():
+    for seed in range(8):
+        yield farkas_mixture(seed, on_kite=seed % 2 == 1)
+    for seed in range(8):
+        yield pair11(random.Random(seed), dominated=seed % 2 == 0)
+
+
+def test_realize_shaped_systems_match_rational_bland():
+    kinds = set()
+    for system in realize_shaped_systems():
+        columns, b = lp_of(system)
+        got = solve_feasibility(columns, b)
+        assert got == fraction_bland(columns, b)
+        assert holds(columns, b, got)
+        kinds.add(type(got))
+    assert kinds == {FeasiblePoint, FarkasVector}
