@@ -24,14 +24,22 @@ from ``CellSampler``:
 * the map from time -k is constant and the map from time -(k - 1) is not,
   so the sampler stopped at coalescence.
 
+The timing runs in a worker process that imports the package from this
+tree's ``src/`` and builds the kernels and tables itself; with
+``--parent SRC`` a second worker imports it from SRC, and the passes of
+the two workers alternate (which goes first alternates too), so that
+both columns come from the same phases of a shared host.  Each worker's
+draws must equal this process's.  The rows give this tree's quartiles
+as ``median_us``, ``q1_us`` and ``q3_us``, and the parent's, with
+``--parent``, as ``parent_median_us``, ``parent_q1_us`` and
+``parent_q3_us``.
+
 Any failure exits 1 after the file is written.  ``--runs DIR`` is as
-in ``scripts/harness.py``, which also keeps a ``parent`` entry already
-in the output file: the kernel rows of the same sweep on the parent
-commit, as recorded there.
+in ``scripts/harness.py``.
 
 Usage:
     PYTHONPATH=src python3 scripts/bench_cftp_draws.py [--quick]
-        [--out FILE] [--runs DIR]
+        [--out FILE] [--runs DIR] [--parent SRC]
 
 ``--quick`` keeps the walks on 8 and 16 states and the mixtures on 6
 and 8, with fewer draws (a few seconds).  The default output is
@@ -45,7 +53,8 @@ import statistics
 import sys
 from fractions import Fraction
 
-from harness import HOST, PASSES, arguments, fastest, quartiles, write_report
+from harness import (HOST, PASSES, alternate, arguments, fastest, quartiles,
+                     write_report)
 from monosync import cftp
 from monosync.cftp import build_grand_coupling, cftp_sample, kernel
 from monosync.generate import random_class_w, random_monotone_system_chain
@@ -160,51 +169,90 @@ def cross_check(gc, stream, draw, lazy):
     return f"stream {stream}: {reason}", k, moves
 
 
-def measure(name, gc, draws, seconds, out):
-    """The row of kernel ``name`` from the times and results of its draws."""
+def tables(spec):
+    """The grand coupling of every kernel of ``spec``, by name."""
+    kernels = {f"walk{n}": lazy_walk(n) for n in spec["walks"]}
+    kernels.update((f"w{n}", w_mixture(n)) for n in spec["mixtures"])
+    return {name: build_grand_coupling(kern)
+            for name, kern in kernels.items()}
+
+
+def worker() -> None:
+    """Read the sweep as JSON from stdin's first line, build its tables
+    and answer with every draw; then, per line, time one pass over the
+    draws and answer with one JSON line of seconds per draw."""
+    spec = json.loads(sys.stdin.readline())
+    jobs = {(name, k): (functools.partial(cftp_sample, gc, SEED, k), None)
+            for name, gc in tables(spec).items()
+            for k in range(spec["draws"])}
+    _, out = fastest(jobs, passes=1)
+    print(json.dumps(list(out.values())), flush=True)
+    for _ in sys.stdin:
+        seconds, _ = fastest(jobs, passes=1)
+        print(json.dumps(list(seconds.values())), flush=True)
+
+
+def measure(name, gc, draws, sides, out):
+    """The row of kernel ``name`` from the times of its draws on each
+    side and this process's results."""
     lazy = identity_cells(gc)
     checked = [cross_check(gc, k, out[name, k], lazy) for k in range(draws)]
     cells = [k for _, k, _ in checked]
     moves = [m for _, _, m in checked]
     failures = [reason for reason, _, _ in checked if reason is not None]
-    us = quartiles([seconds[name, k] * 1e6 for k in range(draws)])
     row = {"kernel": name, "states": len(gc.state_poset), "L": gc.L,
-           "draws": draws, "passes": PASSES, "median_us": us["median"],
-           "q1_us": us["q1"], "q3_us": us["q3"],
-           "cells_per_draw": statistics.fmean(cells),
-           "max_cells": max(cells),
-           "identity_share": 1 - sum(moves) / sum(cells),
-           "composed_per_draw": statistics.fmean(moves),
-           "failures": failures}
+           "draws": draws, "passes": PASSES}
+    for side, seconds in sides.items():
+        us = quartiles([seconds[name, k] * 1e6 for k in range(draws)])
+        prefix = "" if side == "change" else f"{side}_"
+        row.update((f"{prefix}{q}_us", us[q]) for q in ("median", "q1", "q3"))
+    row.update({"cells_per_draw": statistics.fmean(cells),
+                "max_cells": max(cells),
+                "identity_share": 1 - sum(moves) / sum(cells),
+                "composed_per_draw": statistics.fmean(moves),
+                "failures": failures})
     print(json.dumps(row), flush=True)
     return row
 
 
 def main() -> int:
-    args = arguments(__doc__, "BENCH_cftp_draws.json").parse_args()
+    args = arguments(__doc__, "BENCH_cftp_draws.json",
+                     workers=True).parse_args()
+    if args.worker:
+        worker()
+        return 0
+
     walks, mixtures, draws = ((QUICK_WALKS, QUICK_MIXTURES, QUICK_DRAWS)
                               if args.quick else (WALKS, MIXTURES, DRAWS))
-    kernels = {f"walk{n}": lazy_walk(n) for n in walks}
-    kernels.update((f"w{n}", w_mixture(n)) for n in mixtures)
-    tables = {name: build_grand_coupling(kern)
-              for name, kern in kernels.items()}
-    seconds, out = fastest({
-        (name, k): (functools.partial(cftp_sample, gc, SEED, k), None)
-        for name, gc in tables.items() for k in range(draws)})
-    rows = [measure(name, gc, draws, seconds, out)
-            for name, gc in tables.items()]
+    spec = {"walks": walks, "mixtures": mixtures, "draws": draws}
+    built = tables(spec)
+    out = {(name, k): cftp_sample(gc, SEED, k)
+           for name, gc in built.items() for k in range(draws)}
+    answers = alternate(__file__, spec, args.parent, "pass", PASSES)
+    mismatches = [f"the {side} tree draws differently from this process"
+                  for side, (greeting, _) in answers.items()
+                  if greeting != list(out.values())]
+    for mismatch in mismatches:
+        print(mismatch, file=sys.stderr)
+    sides = {side: dict(zip(out, seconds))
+             for side, (_, seconds) in answers.items()}
+    rows = [measure(name, gc, draws, sides, out)
+            for name, gc in built.items()]
     return write_report(args, {
         "what": "perfect draws cftp_sample(gc, SEED, stream=k) on seeded "
                 "lazy walks and class-W mixtures: microseconds per draw "
                 "(quartiles over the draws of each draw's fastest time in "
-                f"{PASSES} passes), cells drawn per draw, the share of "
-                "them whose column is the identity and the other cells "
-                "(composed steps) per draw; every draw cross-checked "
-                "against a doubling replay",
+                f"{PASSES} passes, in a worker process per source tree, "
+                "passes alternating between the trees), cells drawn per "
+                "draw, the share of them whose column is the identity and "
+                "the other cells (composed steps) per draw; every draw "
+                "cross-checked against a doubling replay",
         "seed": SEED,
         "host": HOST,
         "kernels": rows,
-    }, sum(len(row["failures"]) for row in rows), "draw(s)")
+        "mismatches": mismatches,
+    }, sum(len(row["failures"]) for row in rows) + len(mismatches),
+        "draw(s) and tree(s)")
 
 
 if __name__ == "__main__":

@@ -55,7 +55,9 @@ def measure_system(index_poset: Poset, state_poset: Poset,
     for alpha in index_poset.elements:
         if alpha not in measures:
             raise DomainMismatch(f"no measure assigned to index {alpha!r}")
-        if set(measures[alpha].mass) != set(state_poset.elements):
+        domain = measures[alpha].domain()
+        if (domain != state_poset.elements
+                and set(domain) != set(state_poset.elements)):
             raise DomainMismatch(
                 f"measure for {alpha!r} not on the state poset's ground set")
     extra = set(measures) - set(index_poset.elements)
@@ -115,7 +117,7 @@ def _numerators(measures: Sequence[RationalMeasure],
     rows = []
     for p, (s, numerators) in zip(measures, views):
         if p.domain() != elements:
-            by_name = dict(zip(p.mass, numerators))
+            by_name = dict(zip(p.domain(), numerators))
             numerators = [by_name[x] for x in elements]
         k = scale // s
         rows.append([n * k for n in numerators])
@@ -203,9 +205,13 @@ def _augment(supply: Sequence[int], demand: Sequence[int],
 
 
 def _up_closure(poset: Poset, reached: Sequence[int]) -> frozenset[str]:
-    """The up-set generated by the elements at positions ``reached``."""
-    start = set(reached)
-    return frozenset(poset.elements[j] for i, j in poset.arcs if i in start)
+    """The up-set generated by the elements at positions ``reached``: the
+    union of their closure rows."""
+    mask = 0
+    for i in reached:
+        mask |= poset.up[i]
+    return frozenset([x for j, x in enumerate(poset.elements)
+                      if mask >> j & 1])
 
 
 def dominance_violation(p1: RationalMeasure, p2: RationalMeasure,

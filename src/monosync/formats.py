@@ -20,6 +20,7 @@ import re
 import sys
 from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from stat import S_ISREG
 from typing import Mapping, Sequence
@@ -33,7 +34,7 @@ from .coupling import (
 )
 from .errors import (CycleError, DuplicateElement, InvalidMeasure,
                      ParseError, SizeLimit, UnknownElement)
-from .measure import RationalMeasure, rational_measure, shown
+from .measure import RationalMeasure, shown
 from .poset import Poset, covers, validate_poset
 from .synchronize import CellPermutation
 
@@ -96,7 +97,9 @@ def _directives(path: Path, table: Mapping[str, tuple[int, str]]):
                          f"not UTF-8: byte {data[e.start]:#04x}") from e
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
-        parts = raw.partition("#")[0].split()
+        if "#" in raw:
+            raw = raw.partition("#")[0]
+        parts = raw.split()
         if not parts:
             continue
         directive = parts.pop(0)
@@ -108,9 +111,10 @@ def _directives(path: Path, table: Mapping[str, tuple[int, str]]):
         if len(parts) != n:
             raise ParseError(str(path), lineno, f"{directive} takes {n} "
                              f"argument(s), got {len(parts)}")
-        if times == "1" and directive in seen:
-            raise ParseError(str(path), lineno, f"duplicate {directive} line")
         if times != "*":
+            if times == "1" and directive in seen:
+                raise ParseError(str(path), lineno,
+                                 f"duplicate {directive} line")
             seen.add(directive)
         yield lineno, directive, parts
     for directive, (_, times) in table.items():
@@ -122,15 +126,23 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _NATURAL = re.compile(r"[0-9]+")
 
 
-def _fraction(path: Path, lineno: int, token: str) -> Fraction:
-    """An optionally signed integer or ``p/q``, the form serializers emit;
-    no decimals or exponents, whose expansion can be unboundedly large."""
+def _ratio(path: Path, lineno: int, token: str) -> tuple[int, int]:
+    """An optionally signed integer or ``p/q``, the form serializers emit,
+    as ``(p, q)`` with ``q > 0``, not reduced; no decimals or exponents,
+    whose expansion can be unboundedly large."""
     if m := _RATIONAL.fullmatch(token):
         try:
-            return Fraction(int(m[1]), int(m[2] or 1))
-        except (ValueError, ZeroDivisionError):  # too many digits, q = 0
+            p, q = int(m[1]), int(m[2] or 1)
+        except ValueError:  # too many digits
             pass
+        else:
+            if q:
+                return p, q
     raise ParseError(str(path), lineno, f"bad rational {token!r}")
+
+
+def _fraction(path: Path, lineno: int, token: str) -> Fraction:
+    return Fraction(*_ratio(path, lineno, token))
 
 
 def _natural(path: Path, lineno: int, token: str, message: str) -> int:
@@ -205,13 +217,18 @@ def parse_measures(path: str | Path, poset: Poset,
                    ) -> dict[str, RationalMeasure]:
     """Labeled measures over the poset's ground set; absent masses are zero.
 
+    Each mass is read as integers and each measure built from its
+    numerators over the lcm of its denominators, with no ``Fraction``.
     A mass for an unknown element is refused at its line, and masses
     that are negative or do not sum to one at their measure's header.
     """
     path = _path(path)
-    known = set(poset.elements)
-    raw: dict[str, dict[str, Fraction]] = {}
+    elements = poset.elements
+    index = {x: i for i, x in enumerate(elements)}
+    # per label, each element's mass as (p, q), None where none is given
+    raw: dict[str, list[tuple[int, int] | None]] = {}
     headers: dict[str, int] = {}
+    ratios: dict[str, tuple[int, int]] = {}
     label: str | None = None
     for lineno, directive, args in _directives(path, _MEASURES):
         if directive == "measure":
@@ -219,24 +236,33 @@ def parse_measures(path: str | Path, poset: Poset,
             if label in raw:
                 raise ParseError(str(path), lineno,
                                  f"duplicate measure label {label!r}")
-            raw[label] = {}
+            raw[label] = [None] * len(elements)
             headers[label] = lineno
         else:
             el, frac = args
             if label is None:
                 raise ParseError(str(path), lineno,
                                  "mass line before any measure header")
-            if el not in known:
+            i = index.get(el)
+            if i is None:
                 raise ParseError(str(path), lineno,
                                  f"mass given for unknown element {el!r}")
-            if el in raw[label]:
+            if raw[label][i] is not None:
                 raise ParseError(str(path), lineno,
                                  f"duplicate mass for {el!r} in {label!r}")
-            raw[label][el] = _fraction(path, lineno, frac)
+            # a grid's few masses recur: each token is read once
+            ratio = ratios.get(frac)
+            if ratio is None:
+                ratio = ratios[frac] = _ratio(path, lineno, frac)
+            raw[label][i] = ratio
     measures: dict[str, RationalMeasure] = {}
     for lbl, masses in raw.items():
+        scale = lcm(*[r[1] for r in masses if r is not None])
+        numerators = [0 if r is None else r[0] * (scale // r[1])
+                      for r in masses]
         try:
-            measures[lbl] = rational_measure(poset.elements, masses)
+            measures[lbl] = RationalMeasure.from_integers(
+                elements, scale, numerators)
         except InvalidMeasure as e:  # a negative mass or a wrong sum
             raise ParseError(str(path), headers[lbl], str(e)) from e
     return measures

@@ -1,10 +1,14 @@
 """Exact rational probability measures.
 
-A measure assigns a nonnegative ``Fraction`` to every element and sums to
-exactly one.  All arithmetic is exact; nothing is ever rounded.  Each
-measure also keeps its masses as integers over one common denominator
-(:attr:`RationalMeasure.integral`), which the dominance flows and the
-grid cells read; the sum is checked on those integers.  The
+A measure assigns a nonnegative rational to every element and sums to
+exactly one.  All arithmetic is exact; nothing is ever rounded.  A
+measure is stored as its domain and its integer view
+(:attr:`RationalMeasure.integral`): the masses as integers over their
+least common denominator, which the dominance flows and the grid cells
+read, and on which the sign and sum rules are checked.  The map of
+``Fraction`` masses (:attr:`RationalMeasure.mass`) is a view built on
+first read, for :meth:`~RationalMeasure.of` and the serializers; the
+parsers build measures from integers and never make it.  The
 inverse probability transform of a measure along a linear extension is
 represented on a grid of equal cells by
 :func:`monosync.synchronize.cell_states`.
@@ -12,11 +16,11 @@ represented on a grid of equal cells by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from typing import Mapping
+from math import gcd, lcm
+from typing import Mapping, Sequence
 
 from .errors import DomainMismatch, InvalidMeasure
 
@@ -24,34 +28,77 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
-@dataclass(frozen=True)
 class RationalMeasure:
-    """Probability masses over a fixed ground set, zeros stored explicitly."""
+    """Probability masses over a fixed ground set, zeros stored explicitly.
 
-    mass: Mapping[str, Fraction]
+    ``RationalMeasure(mass)`` takes a map from each element to its mass;
+    :meth:`from_integers` takes numerators over a common denominator.
+    Either way the measure keeps ``integral``, ``(scale, numerators)``:
+    the least common denominator of the masses and each mass times it,
+    in domain order.  Sums of numerators compare as the masses do, with
+    no ``Fraction`` arithmetic.  Two measures are equal when they give
+    every element the same mass.
+    """
 
-    def __post_init__(self):
-        scale, numerators = self.integral
+    __hash__ = None  # equal measures may list their domain in other orders
+
+    def __init__(self, mass: Mapping[str, Fraction]):
+        ratios = [m.as_integer_ratio() for m in mass.values()]
+        scale = lcm(*[q for _, q in ratios])
+        self._set(tuple(mass), scale,
+                  tuple([p * (scale // q) for p, q in ratios]))
+        self.__dict__["mass"] = mass
+
+    @classmethod
+    def from_integers(cls, domain: Sequence[str], scale: int,
+                      numerators: Sequence[int]) -> RationalMeasure:
+        """The measure giving ``domain[i]`` mass ``numerators[i] / scale``;
+        ``scale`` is any positive common denominator, reduced here to the
+        least one."""
+        g = gcd(scale, *numerators)
+        measure = object.__new__(cls)
+        measure._set(tuple(domain), scale // g,
+                     tuple([n // g for n in numerators]))
+        return measure
+
+    def _set(self, domain: tuple[str, ...], scale: int,
+             numerators: tuple[int, ...]) -> None:
         if min(numerators, default=0) < 0:
-            x, m = next((x, m) for x, m in self.mass.items() if m < 0)
-            raise InvalidMeasure(f"negative mass {m} at {x!r}")
+            i = next(i for i, n in enumerate(numerators) if n < 0)
+            raise InvalidMeasure(f"negative mass "
+                                 f"{shown(Fraction(numerators[i], scale))} "
+                                 f"at {domain[i]!r}")
         total = sum(numerators)
         if total != scale:
             raise InvalidMeasure(
                 f"masses sum to {shown(Fraction(total, scale))}, not 1")
+        self.__dict__.update(_domain=domain, integral=(scale, numerators))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self._domain == other._domain:
+            return self.integral == other.integral
+        (s1, n1), (s2, n2) = self.integral, other.integral
+        return (s1 == s2 and dict(zip(self._domain, n1))
+                == dict(zip(other._domain, n2)))
+
+    def __repr__(self) -> str:
+        return f"RationalMeasure(mass={self.mass!r})"
 
     @cached_property
-    def integral(self) -> tuple[int, tuple[int, ...]]:
-        """``(scale, numerators)``: the lcm of the masses' denominators,
-        and each mass times it, in domain order.  Built once, by the sum
-        check, and read as is: sums of numerators compare as the masses
-        do, with no ``Fraction`` arithmetic."""
-        ratios = [m.as_integer_ratio() for m in self.mass.values()]
-        scale = lcm(*[q for _, q in ratios])
-        return scale, tuple([p * (scale // q) for p, q in ratios])
+    def mass(self) -> Mapping[str, Fraction]:
+        """Each element's mass as a ``Fraction``, in domain order; the
+        zero masses share ``F0``."""
+        scale, numerators = self.integral
+        return {x: Fraction(n, scale) if n else F0
+                for x, n in zip(self._domain, numerators)}
 
     def domain(self) -> tuple[str, ...]:
-        return tuple(self.mass)
+        return self._domain
 
     def of(self, x: str) -> Fraction:
         return self.mass[x]
@@ -60,10 +107,11 @@ class RationalMeasure:
         return sum((self.mass[x] for x in subset), F0)
 
     def support(self) -> tuple[str, ...]:
-        return tuple(x for x, m in self.mass.items() if m > 0)
+        return tuple(x for x, n in zip(self._domain, self.integral[1]) if n)
 
     def denominators(self) -> tuple[int, ...]:
-        return tuple(m.denominator for m in self.mass.values())
+        scale, numerators = self.integral
+        return tuple(scale // gcd(n, scale) for n in numerators)
 
 
 def shown(value: Fraction) -> str:

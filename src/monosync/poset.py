@@ -4,14 +4,21 @@ Everything downstream (measures, couplings, the sampler) works over the
 two structures built here: a validated finite poset, and, when the cover
 graph is a tree, a rooted orientation of it together with a linear
 extension obtained by ordering each children set.
+
+A poset is stored as its elements and one integer bitmask per element,
+the row of its up-closure (:attr:`Poset.up`).  Every answer is read off
+those rows by bit operations and built once, on first read: the index
+arcs, the strict pairs, the extremal elements, the cover graph and its
+cover pairs, and a linear extension.  The relation as a set of name
+pairs, which :meth:`Poset.leq` reads, is such a view too.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CycleError,
@@ -25,21 +32,66 @@ from .errors import (
 DEFAULT_UPSET_CAP = 2**20
 
 
-@dataclass(frozen=True)
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Poset:
     """A finite partially ordered set.
 
-    ``relation`` holds every pair ``(a, b)`` with ``a <= b``, reflexive
-    pairs included.  Construct via :func:`validate_poset` (or the
-    :func:`chain` / :func:`antichain` helpers), which take the
-    reflexive-transitive closure and reject cycles.
+    ``Poset(elements, relation)`` takes every pair ``(a, b)`` with
+    ``a <= b``, reflexive pairs included.  Construct via
+    :func:`validate_poset` (or the :func:`chain` / :func:`antichain`
+    helpers), which take the reflexive-transitive closure, reject cycles
+    and hand over the closure rows without making the pairs.
+
+    ``up[i]`` has bit ``j`` set iff ``elements[i] <= elements[j]``.  Two
+    posets are equal when their elements, in order, and rows are.
     """
 
-    elements: tuple[str, ...]
-    relation: frozenset[tuple[str, str]]
+    def __init__(self, elements: tuple[str, ...],
+                 relation: frozenset[tuple[str, str]]):
+        idx = {x: i for i, x in enumerate(elements)}
+        up = [0] * len(idx)
+        for a, b in relation:
+            up[idx[a]] |= 1 << idx[b]
+        self.__dict__.update(elements=elements, up=tuple(up),
+                             relation=relation, _index=idx)
+
+    @classmethod
+    def _of_rows(cls, elements: tuple[str, ...],
+                 up: tuple[int, ...]) -> Poset:
+        poset = object.__new__(cls)
+        poset.__dict__.update(elements=elements, up=up)
+        return poset
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.elements == other.elements and self.up == other.up
+
+    def __hash__(self) -> int:
+        return hash((self.elements, self.up))
+
+    def __repr__(self) -> str:
+        return f"Poset(elements={self.elements!r}, relation={self.relation!r})"
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def relation(self) -> frozenset[tuple[str, str]]:
+        """Every pair ``(a, b)`` with ``a <= b``, as names."""
+        els = self.elements
+        return frozenset([(a, els[j]) for a, row in zip(els, self.up)
+                          for j in _bits(row)])
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -56,12 +108,17 @@ class Poset:
         return a != b and (a, b) in self.relation
 
     @cached_property
+    def _above(self) -> tuple[int, ...]:
+        """The strict rows: ``up[i]`` without bit ``i``."""
+        return tuple([row & ~(1 << i) for i, row in enumerate(self.up)])
+
+    @cached_property
     def arcs(self) -> tuple[tuple[int, int], ...]:
         """Every ``(i, j)`` with ``elements[i] <= elements[j]``, sorted:
         the order as index pairs, built once and read by every question
         that walks it."""
-        idx = self._index
-        return tuple(sorted((idx[a], idx[b]) for a, b in self.relation))
+        return tuple([(i, j) for i, row in enumerate(self.up)
+                      for j in _bits(row)])
 
     def strict_pairs(self) -> tuple[tuple[str, str], ...]:
         """All pairs ``(a, b)`` with ``a < b``, in element-index order."""
@@ -70,22 +127,37 @@ class Poset:
     @cached_property
     def _strict_pairs(self) -> tuple[tuple[str, str], ...]:
         els = self.elements
-        return tuple((els[i], els[j]) for i, j in self.arcs if i != j)
+        return tuple([(a, els[j]) for a, row in zip(els, self._above)
+                      for j in _bits(row)])
+
+    @cached_property
+    def _cover_rows(self) -> tuple[int, ...]:
+        """Bit ``j`` of row ``i`` is set iff ``elements[j]`` covers
+        ``elements[i]``: it lies strictly above ``i`` and strictly above
+        nothing strictly above ``i``."""
+        above = self._above
+        rows = []
+        for row in above:
+            beyond = 0
+            for k in _bits(row):
+                beyond |= above[k]
+            rows.append(row & ~beyond)
+        return tuple(rows)
+
+    @cached_property
+    def _covers(self) -> tuple[tuple[str, str], ...]:
+        els = self.elements
+        return tuple(sorted([(a, els[j]) for a, row
+                             in zip(els, self._cover_rows)
+                             for j in _bits(row)]))
 
     @cached_property
     def _cover_graph(self) -> CoverGraph:
-        above: dict[str, list[str]] = {x: [] for x in self.elements}
-        for a, b in self.relation:
-            if a != b:
-                above[a].append(b)
-        edges = set()
-        for a, ups in above.items():
-            for b in ups:
-                if any((z, b) in self.relation for z in ups if z != b):
-                    continue
-                i, j = self._index[a], self._index[b]
-                edges.add((a, b) if i < j else (b, a))
-        return CoverGraph(self.elements, frozenset(edges))
+        els = self.elements
+        edges = [(els[min(i, j)], els[max(i, j)])
+                 for i, row in enumerate(self._cover_rows)
+                 for j in _bits(row)]
+        return CoverGraph(els, frozenset(edges))
 
     def minimal(self) -> tuple[str, ...]:
         return self._minimal
@@ -95,34 +167,53 @@ class Poset:
 
     @cached_property
     def _minimal(self) -> tuple[str, ...]:
-        above = {b for (a, b) in self.relation if a != b}
-        return tuple(x for x in self.elements if x not in above)
+        above = 0  # every element strictly above another
+        for row in self._above:
+            above |= row
+        return tuple([x for j, x in enumerate(self.elements)
+                      if not above >> j & 1])
 
     @cached_property
     def _maximal(self) -> tuple[str, ...]:
-        below = {a for (a, b) in self.relation if a != b}
-        return tuple(x for x in self.elements if x not in below)
+        return tuple([x for x, row in zip(self.elements, self._above)
+                      if not row])
 
     def dual(self) -> "Poset":
-        """The same ground set with the order reversed."""
-        return Poset(self.elements,
-                     frozenset((b, a) for (a, b) in self.relation))
+        """The same ground set with the order reversed; built once."""
+        return self._dual
+
+    @cached_property
+    def _dual(self) -> Poset:
+        down = [0] * len(self.up)
+        for i, row in enumerate(self.up):
+            for j in _bits(row):
+                down[j] |= 1 << i
+        return Poset._of_rows(self.elements, tuple(down))
 
     def linear_order(self) -> tuple[str, ...]:
         """A deterministic linear extension: minimal-first, ties by input order."""
-        remaining = list(self.elements)
+        return self._linear_order
+
+    @cached_property
+    def _linear_order(self) -> tuple[str, ...]:
+        # each step places the first element, in input order, all of
+        # whose lower elements are placed: the lowest bit of ``ready``
+        above, below = self._above, self._dual._above
+        ready = sum(1 << i for i, row in enumerate(below) if not row)
+        placed = 0
         out: list[str] = []
-        placed: set[str] = set()
-        while remaining:
-            for x in remaining:
-                if all(z in placed for z in self.elements
-                       if self.lt(z, x)):
-                    out.append(x)
-                    placed.add(x)
-                    remaining.remove(x)
-                    break
-            else:  # pragma: no cover - validate_poset forbids cycles
-                raise CycleError("relation is not acyclic")
+        while ready:
+            low = ready & -ready
+            i = low.bit_length() - 1
+            out.append(self.elements[i])
+            placed |= low
+            ready ^= low
+            for j in _bits(above[i]):
+                if not below[j] & ~placed:
+                    ready |= 1 << j
+        if len(out) < len(self.elements):  # pragma: no cover
+            # validate_poset forbids cycles; a relation given whole may not
+            raise CycleError("relation is not acyclic")
         return tuple(out)
 
 
@@ -138,7 +229,7 @@ def validate_poset(elements: Sequence[str],
     The order is closed on one integer bitmask per element: bit ``j`` of
     ``up[i]`` is set iff ``elements[i] <= elements[j]``.  Row ``i`` grows
     by a search over its set bits that takes each earlier row whole, as
-    that row is closed already; ``relation`` is read off the set bits.
+    that row is closed already.  The poset keeps the rows.
     """
     elements = tuple(elements)
     idx = {x: i for i, x in enumerate(elements)}
@@ -171,13 +262,7 @@ def validate_poset(elements: Sequence[str],
                     if (up[i] >> j) & (up[j] >> i) & 1)
         raise CycleError(
             f"{elements[i]!r} and {elements[j]!r} are in a cycle")
-    relation = []
-    for a, row in zip(elements, up):
-        while row:
-            low = row & -row
-            relation.append((a, elements[low.bit_length() - 1]))
-            row ^= low
-    return Poset(elements, frozenset(relation))
+    return Poset._of_rows(elements, tuple(up))
 
 
 def chain(elements: Sequence[str]) -> Poset:
@@ -196,7 +281,8 @@ class CoverGraph:
     """Undirected graph of cover relations.
 
     Edges are stored as pairs ordered by vertex index, so serialization
-    and iteration are deterministic.
+    and iteration are deterministic.  Connectivity, which the tree and
+    path tests read, is searched once per graph.
     """
 
     vertices: tuple[str, ...]
@@ -222,6 +308,10 @@ class CoverGraph:
         return tuple(v for v in self.vertices if self.degree(v) <= 1)
 
     def is_connected(self) -> bool:
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
         if not self.vertices:
             return True
         seen = {self.vertices[0]}
@@ -247,9 +337,9 @@ def cover_graph(poset: Poset) -> CoverGraph:
 
 
 def covers(poset: Poset) -> tuple[tuple[str, str], ...]:
-    """Cover pairs ``(lower, upper)``, sorted lexicographically by name."""
-    return tuple(sorted((a, b) if poset.lt(a, b) else (b, a)
-                        for a, b in cover_graph(poset).edges))
+    """Cover pairs ``(lower, upper)``, sorted lexicographically by name;
+    computed once per poset and cached on it."""
+    return poset._covers
 
 
 def default_root(poset: Poset) -> str:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .coupling import Coupling, MeasureSystem, Verdict, integer_transport
 from .errors import (
@@ -87,7 +87,7 @@ def cell_counts(measure: RationalMeasure, L: int) -> dict[str, int]:
         raise GridMismatch(
             f"mass {measure.of(x)} of {x!r} is not a multiple of 1/{L}")
     k = L // scale
-    return {x: n * k for x, n in zip(measure.mass, ints)}
+    return {x: n * k for x, n in zip(measure.domain(), ints)}
 
 
 def cell_states(measure: RationalMeasure, extension: LinearExtension,
@@ -271,10 +271,11 @@ def check_cell_tables(system: MeasureSystem, L: int,
         if len(tables[alpha]) != L:
             return Verdict(False, ("cells", alpha))
         counts = Counter(tables[alpha])
-        mass = system.measure_of(alpha).mass
+        measure = system.measure_of(alpha)
+        scale, numerators = measure.integral
+        given = dict(zip(measure.domain(), numerators))
         for s in system.state_poset.elements:
-            m = mass[s]
-            if counts[s] * m.denominator != m.numerator * L:
+            if counts[s] * scale != given[s] * L:
                 return Verdict(False, ("counts", alpha, s))
     leq = system.state_poset.leq
     if all(all(map(leq, tables[a], tables[b]))
@@ -311,16 +312,25 @@ class InterlacingGraph:
 
 def _interlacing(poset: Poset) -> InterlacingGraph:
     """Pairs of minimal elements strictly below a common element, found
-    in one pass over the relation."""
+    in one pass over the closure rows of the minimal elements."""
     mins = poset.minimal()
-    is_min = set(mins)
-    below: dict[str, list[str]] = {}
-    for a, c in poset.relation:
-        if a in is_min:  # a minimal c lists only itself: no pair
-            below.setdefault(c, []).append(a)
     return InterlacingGraph(mins, frozenset(
-        frozenset(pair) for d in below.values()
+        frozenset(pair) for d in _principal(poset, mins)
         for pair in combinations(d, 2)))
+
+
+def _principal(poset: Poset, vertices: Sequence[str]) -> list[list[str]]:
+    """Per element, the ``vertices`` at or below it, read off their
+    closure rows, in element order."""
+    is_vertex = set(vertices)
+    below: list[list[str]] = [[] for _ in poset.elements]
+    for a, row in zip(poset.elements, poset.up):
+        if a in is_vertex:
+            while row:
+                low = row & -row
+                below[low.bit_length() - 1].append(a)
+                row ^= low
+    return below
 
 
 def interlacing_graphs(poset: Poset) -> tuple[InterlacingGraph, InterlacingGraph]:
@@ -367,14 +377,10 @@ def locally_connected_spanning_tree(graph: InterlacingGraph, poset: Poset,
     vrank = {v: i for i, v in enumerate(vertices)}
     # the vertices at or below (above) each element; a vertex heads only
     # its own one-vertex set
-    beyond: dict[str, list[str]] = {}
-    for a, b in poset.relation:
-        if side == "maximal":
-            a, b = b, a
-        if a in vrank:
-            beyond.setdefault(b, []).append(a)
+    order = poset if side == "minimal" else poset.dual()
     principal = {tuple(sorted(d, key=vrank.__getitem__))
-                 for d in beyond.values() if len(d) >= 2}
+                 for d in _principal(order, vertices)
+                 if len(d) >= 2}
     # each principal set is a clique of the graph (its vertices lie below
     # a common element), so its pairs are its edges
     weight = Counter(pair for d in principal for pair in combinations(d, 2))

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from bench_lp import farkas_mixture, pair11
 from conftest import SHOWCASE_ATOMS, kite
+from harness import write_system
 from monosync import coupling
 from monosync.coupling import (
     DEFAULT_TUPLE_CAP,
@@ -381,6 +382,30 @@ def test_numerators_read_the_views_by_name():
         system = pair_system(*shuffled, S)
         assert is_stoch_monotone(system) == is_stoch_monotone(
             pair_system(*pair, S))
+
+
+def test_check_path_builds_no_fraction_or_name_pair_view(tmp_path):
+    """The ``check`` path from a not-dominated pair system file to its
+    verdict reads integers and closure rows only: it leaves every
+    measure's ``Fraction`` map and every poset's name-pair relation
+    unbuilt, and the witness is the one computed from those views."""
+    rng = random.Random(24)
+    refuted = 0
+    for k in range(12):
+        S = random_poset(rng, 11, 0.12)
+        pair = [random_measure(rng, S, 8) for _ in "12"]
+        write_system(tmp_path, f"pair{k}", pair_system(*pair, S))
+        system = parse_system(tmp_path / f"pair{k}.system")
+        verdict = is_stoch_monotone(system)
+        if verdict:
+            continue
+        refuted += 1
+        for measure in system.measures.values():
+            assert "mass" not in vars(measure)
+        for poset in (system.index_poset, system.state_poset):
+            assert "relation" not in vars(poset)
+        assert verdict == is_stoch_monotone(pair_system(*pair, S))
+    assert refuted >= 6
 
 
 def test_monotone_tuples_showcase(pair_poset, w6):

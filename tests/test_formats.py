@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from monosync.coupling import Coupling, InfeasibilityCertificate, realize
 from monosync import formats
 from monosync.cli import main
-from monosync.errors import MonosyncError, ParseError
+from monosync.errors import InvalidMeasure, MonosyncError, ParseError
 from monosync.formats import (
     parse_certificate,
     parse_coupling,
@@ -37,7 +37,8 @@ from monosync.generate import (
     random_monotone_system,
     random_poset,
 )
-from monosync.poset import covers, default_root, root_tree
+from monosync.measure import rational_measure
+from monosync.poset import antichain, covers, default_root, root_tree
 from monosync.synchronize import CellPermutation, synchronize_from_coupling
 
 from conftest import DATA_DIR, PHI2_15, SHOWCASE_ATOMS, W6_COVERS
@@ -520,3 +521,54 @@ def test_serialize_parse_is_identity_on_canonical_output(tmp_path, seed):
     infeasible = realize(parse_system(DATA_DIR / "diamond_infeasible.system"))
     check_roundtrip(tmp_path / "d.cert", serialize_certificate(infeasible),
                     parse_certificate, serialize_certificate)
+
+
+@pytest.fixture(scope="module")
+def measure_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("measures")
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_parsed_measure_equals_one_built_from_fractions(measure_dir, data):
+    """A measure file is read straight to integer numerators.  On random
+    masses, written in any order and form (unreduced, signed, zeros
+    given or left out), the parse equals the measure ``rational_measure``
+    builds from the same ``Fraction`` masses: same ``mass``, integer
+    view, support, denominators and serialization; or, where that
+    measure is refused, the parse is refused at the header line with
+    the same message."""
+    names = data.draw(st.lists(st.text("abcxyz", min_size=1, max_size=2),
+                               unique=True, min_size=1, max_size=8))
+    scale = data.draw(st.integers(1, 12))
+    numerators = data.draw(st.lists(st.integers(-1, 6), min_size=len(names),
+                                    max_size=len(names)))
+    if data.draw(st.booleans()):  # mostly valid: the last mass completes 1
+        numerators[-1] = scale - sum(numerators[:-1])
+    lines = ["measure m"]
+    for i in data.draw(st.permutations(range(len(names)))):
+        n = numerators[i]
+        if n == 0 and data.draw(st.booleans()):
+            continue
+        k = data.draw(st.integers(1, 3))
+        sign = data.draw(st.sampled_from(("", "+"))) if n >= 0 else ""
+        lines.append(f"mass {names[i]} {sign}{n * k}/{scale * k}"
+                     if k > 1 or scale > 1 else f"mass {names[i]} {sign}{n}")
+    path = measure_dir / "oracle.measures"
+    path.write_text("\n".join(lines) + "\n")
+    masses = {x: Fraction(n, scale) for x, n in zip(names, numerators)}
+    try:
+        want = rational_measure(names, masses)
+    except InvalidMeasure as e:
+        with pytest.raises(ParseError) as refused:
+            parse_measures(path, antichain(names))
+        assert str(refused.value) == f"{path}:1: {e}"
+        return
+    got = parse_measures(path, antichain(names))["m"]
+    assert got == want and want == got
+    assert list(got.mass.items()) == list(want.mass.items())
+    assert got.domain() == want.domain() == tuple(names)
+    assert got.integral == want.integral
+    assert got.support() == want.support()
+    assert got.denominators() == want.denominators()
+    assert serialize_measures({"m": got}) == serialize_measures({"m": want})

@@ -5,7 +5,7 @@ from collections import Counter
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from monosync.errors import (
     CycleError,
@@ -283,6 +283,83 @@ def test_up_sets_cap_boundary(poset):
     assert len(up_sets(poset, cap=count)) == count
     with pytest.raises(SizeLimit, match=f"more than {count - 1} up-sets"):
         up_sets(poset, cap=count - 1)
+
+
+def reference_answers(elements, relation):
+    """Every answer a poset derives, read off its string pairs as the
+    poset read them before it kept its closure rows: the oracle for the
+    bit operations on those rows."""
+    idx = {x: i for i, x in enumerate(elements)}
+    lt = {(a, b) for a, b in relation if a != b}
+    arcs = tuple(sorted((idx[a], idx[b]) for a, b in relation))
+    edges = set()
+    for a, b in lt:
+        if not any((a, z) in lt and (z, b) in lt for z in elements):
+            edges.add((a, b) if idx[a] < idx[b] else (b, a))
+    order, placed = [], set()
+    remaining = list(elements)
+    while remaining:
+        x = next(x for x in remaining
+                 if all(z in placed for z in elements if (z, x) in lt))
+        order.append(x)
+        placed.add(x)
+        remaining.remove(x)
+    return {
+        "relation": relation,
+        "leq": {(a, b): (a, b) in relation
+                for a in elements for b in elements},
+        "arcs": arcs,
+        "strict_pairs": tuple((elements[i], elements[j])
+                              for i, j in arcs if i != j),
+        "minimal": tuple(x for x in elements
+                         if not any((z, x) in lt for z in elements)),
+        "maximal": tuple(x for x in elements
+                         if not any((x, z) in lt for z in elements)),
+        "cover_edges": frozenset(edges),
+        "covers": tuple(sorted(
+            (a, b) if (a, b) in lt else (b, a) for a, b in edges)),
+        "linear_order": tuple(order),
+    }
+
+
+def answers(poset):
+    return {
+        "relation": poset.relation,
+        "leq": {(a, b): poset.leq(a, b)
+                for a in poset.elements for b in poset.elements},
+        "arcs": poset.arcs,
+        "strict_pairs": poset.strict_pairs(),
+        "minimal": poset.minimal(),
+        "maximal": poset.maximal(),
+        "cover_edges": cover_graph(poset).edges,
+        "covers": covers(poset),
+        "linear_order": poset.linear_order(),
+    }
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_poset_answers_match_string_pair_reference(data):
+    """On random element and pair lists, a poset from ``validate_poset``
+    (closure rows) and one from ``Poset(elements, relation)`` (string
+    pairs) are equal, hash alike and give the reference's answers."""
+    elements = data.draw(st.lists(st.text("abcxyz", min_size=1, max_size=2),
+                                  unique=True, max_size=9))
+    n = len(elements)
+    # pairs oriented up a random rank, so the order has no cycle
+    rank = data.draw(st.permutations(range(n)))
+    ends = st.integers(0, n - 1)
+    pairs = [(elements[i], elements[j]) for i, j in (
+        sorted(p, key=rank.__getitem__) for p in data.draw(
+            st.lists(st.tuples(ends, ends), max_size=3 * n) if n else
+            st.just([])))]
+    relation = reference_validate_poset(elements, pairs).relation
+    want = reference_answers(tuple(elements), relation)
+    closed = validate_poset(elements, pairs)
+    given_pairs = Poset(tuple(elements), relation)
+    assert closed == given_pairs and hash(closed) == hash(given_pairs)
+    assert answers(closed) == want
+    assert answers(given_pairs) == want
 
 
 @given(seeds)
