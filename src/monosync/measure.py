@@ -16,7 +16,7 @@ represented on a grid of equal cells by
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -28,6 +28,7 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
+@dataclass(frozen=True, init=False, eq=False)
 class RationalMeasure:
     """Probability masses over a fixed ground set, zeros stored explicitly.
 
@@ -39,6 +40,9 @@ class RationalMeasure:
     no ``Fraction`` arithmetic.  Two measures are equal when they give
     every element the same mass.
     """
+
+    _domain: tuple[str, ...]
+    integral: tuple[int, tuple[int, ...]]
 
     __hash__ = None  # equal measures may list their domain in other orders
 
@@ -73,9 +77,6 @@ class RationalMeasure:
             raise InvalidMeasure(
                 f"masses sum to {shown(Fraction(total, scale))}, not 1")
         self.__dict__.update(_domain=domain, integral=(scale, numerators))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

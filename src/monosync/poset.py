@@ -16,7 +16,7 @@ pairs, which :meth:`Poset.leq` reads, is such a view too.
 from __future__ import annotations
 
 import enum
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -32,7 +32,7 @@ from .errors import (
 DEFAULT_UPSET_CAP = 2**20
 
 
-def _bits(mask: int) -> Iterator[int]:
+def set_bits(mask: int) -> Iterator[int]:
     """The positions of the set bits of ``mask``, ascending."""
     while mask:
         low = mask & -mask
@@ -40,6 +40,7 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+@dataclass(frozen=True, init=False)
 class Poset:
     """A finite partially ordered set.
 
@@ -52,6 +53,9 @@ class Poset:
     ``up[i]`` has bit ``j`` set iff ``elements[i] <= elements[j]``.  Two
     posets are equal when their elements, in order, and rows are.
     """
+
+    elements: tuple[str, ...]
+    up: tuple[int, ...]
 
     def __init__(self, elements: tuple[str, ...],
                  relation: frozenset[tuple[str, str]]):
@@ -69,17 +73,6 @@ class Poset:
         poset.__dict__.update(elements=elements, up=up)
         return poset
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.elements == other.elements and self.up == other.up
-
-    def __hash__(self) -> int:
-        return hash((self.elements, self.up))
-
     def __repr__(self) -> str:
         return f"Poset(elements={self.elements!r}, relation={self.relation!r})"
 
@@ -91,7 +84,7 @@ class Poset:
         """Every pair ``(a, b)`` with ``a <= b``, as names."""
         els = self.elements
         return frozenset([(a, els[j]) for a, row in zip(els, self.up)
-                          for j in _bits(row)])
+                          for j in set_bits(row)])
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -118,7 +111,7 @@ class Poset:
         the order as index pairs, built once and read by every question
         that walks it."""
         return tuple([(i, j) for i, row in enumerate(self.up)
-                      for j in _bits(row)])
+                      for j in set_bits(row)])
 
     def strict_pairs(self) -> tuple[tuple[str, str], ...]:
         """All pairs ``(a, b)`` with ``a < b``, in element-index order."""
@@ -128,7 +121,7 @@ class Poset:
     def _strict_pairs(self) -> tuple[tuple[str, str], ...]:
         els = self.elements
         return tuple([(a, els[j]) for a, row in zip(els, self._above)
-                      for j in _bits(row)])
+                      for j in set_bits(row)])
 
     @cached_property
     def _cover_rows(self) -> tuple[int, ...]:
@@ -139,7 +132,7 @@ class Poset:
         rows = []
         for row in above:
             beyond = 0
-            for k in _bits(row):
+            for k in set_bits(row):
                 beyond |= above[k]
             rows.append(row & ~beyond)
         return tuple(rows)
@@ -149,14 +142,14 @@ class Poset:
         els = self.elements
         return tuple(sorted([(a, els[j]) for a, row
                              in zip(els, self._cover_rows)
-                             for j in _bits(row)]))
+                             for j in set_bits(row)]))
 
     @cached_property
     def _cover_graph(self) -> CoverGraph:
         els = self.elements
         edges = [(els[min(i, j)], els[max(i, j)])
                  for i, row in enumerate(self._cover_rows)
-                 for j in _bits(row)]
+                 for j in set_bits(row)]
         return CoverGraph(els, frozenset(edges))
 
     def minimal(self) -> tuple[str, ...]:
@@ -186,7 +179,7 @@ class Poset:
     def _dual(self) -> Poset:
         down = [0] * len(self.up)
         for i, row in enumerate(self.up):
-            for j in _bits(row):
+            for j in set_bits(row):
                 down[j] |= 1 << i
         return Poset._of_rows(self.elements, tuple(down))
 
@@ -208,7 +201,7 @@ class Poset:
             out.append(self.elements[i])
             placed |= low
             ready ^= low
-            for j in _bits(above[i]):
+            for j in set_bits(above[i]):
                 if not below[j] & ~placed:
                     ready |= 1 << j
         if len(out) < len(self.elements):  # pragma: no cover

@@ -32,7 +32,7 @@ from .errors import (
     SizeLimit,
 )
 from .measure import RationalMeasure
-from .poset import LinearExtension, Poset, RootedTree, covers
+from .poset import LinearExtension, Poset, RootedTree, covers, set_bits
 
 # far above the grids of the data/ fixtures, the tests and the benchmark
 # inputs (at most 16 cells); a table holds one state per cell and index,
@@ -326,10 +326,8 @@ def _principal(poset: Poset, vertices: Sequence[str]) -> list[list[str]]:
     below: list[list[str]] = [[] for _ in poset.elements]
     for a, row in zip(poset.elements, poset.up):
         if a in is_vertex:
-            while row:
-                low = row & -row
-                below[low.bit_length() - 1].append(a)
-                row ^= low
+            for j in set_bits(row):
+                below[j].append(a)
     return below
 
 
